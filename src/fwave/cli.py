@@ -7,6 +7,7 @@ error, 3 zero usable windows, 1 any other failure.
 
 import argparse
 import json
+import os
 import sys
 
 from . import pipeline
@@ -39,10 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ext = sub.add_parser("extract", parents=[common], help="quality-gate windows and extract f-waves")
     ext.add_argument("--method", action="append", help="restrict to this extractor (repeatable)")
     ext.add_argument("--dump-beats", action="store_true", help="write per-window beat maps")
-    ext.add_argument(
-        "--dump-fwave", metavar="METHOD",
-        help="kept for symmetry; residuals for every method are always written",
-    )
 
     sub.add_parser("daf", parents=[common], help="estimate the DAF of extracted residuals")
 
@@ -123,6 +120,8 @@ def main(argv=None) -> int:
             if getattr(args, "features", None):
                 from .evaluate import FeatureTable
 
+                if not os.path.exists(args.features):
+                    raise ConfigError(f"feature table {args.features} does not exist")
                 table = FeatureTable.from_csv(args.features)
             report = pipeline.stage_eval(cfg, table=table)
             print(json.dumps({m: report[m] for m in report["ranking"] + ["vote"]}, indent=1))

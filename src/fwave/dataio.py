@@ -3,13 +3,17 @@
 Formats:
   * CSV: header lines ``# record_id=<text>``, ``# fs=<float>``,
     ``# lead=<text>`` followed by one sample (mV) per line.
-  * Binary: magic ``FWK1``, u32 little-endian header length, JSON header
-    ``{record_id, fs, lead, n}``, then n little-endian float32 samples.
+  * Binary (``.fwk``): magic ``FWK1``, u32 little-endian header length,
+    JSON header ``{record_id, fs, lead, n, dtype}``, then n samples of
+    ``dtype``. Files are written as ``"<f8"`` (float64, lossless); a
+    header without ``dtype`` is read as ``"<f4"`` (float32), which is
+    what earlier versions wrote.
   * Annotations: JSON list of ``{"onset": int, "offset": int,
     "label": "AF"|"non-AF"}``.
 """
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -18,6 +22,8 @@ import numpy as np
 from .errors import FormatError
 
 BINARY_MAGIC = b"FWK1"
+BINARY_DTYPE = "<f8"
+LEGACY_DTYPE = "<f4"  # what .fwk headers without a dtype key hold
 
 
 @dataclass
@@ -29,8 +35,8 @@ class EcgRecording:
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.fs <= 0:
-            raise FormatError(f"sampling rate must be positive, got {self.fs}")
+        if not 0 < self.fs < np.inf:
+            raise FormatError(f"sampling rate must be positive and finite, got {self.fs}")
         if self.samples.size == 0:
             raise FormatError("recording has no samples")
         if not np.all(np.isfinite(self.samples)):
@@ -64,7 +70,6 @@ class AnalysisWindow:
     start_sample: int
     length_samples: int
     label: str
-    quality_pass: bool = True
 
     @property
     def end_sample(self) -> int:
@@ -93,33 +98,36 @@ def load_recording(path, fmt=None) -> EcgRecording:
 def _load_csv(path) -> EcgRecording:
     meta = {}
     values = []
-    with open(path, "r") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if "=" not in body:
-                    raise FormatError(f"{path}:{lineno}: malformed header line {line!r}")
-                key, val = body.split("=", 1)
-                meta[key.strip()] = val.strip()
-                continue
-            try:
-                v = float(line)
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: not a number: {line!r}") from None
-            if not np.isfinite(v):
-                raise FormatError(f"{path}:{lineno}: non-finite sample {line!r}")
-            values.append(v)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    body = line.lstrip("#").strip()
+                    if "=" not in body:
+                        raise FormatError(f"{path}:{lineno}: malformed header line {line!r}")
+                    key, val = body.split("=", 1)
+                    meta[key.strip()] = val.strip()
+                    continue
+                try:
+                    v = float(line)
+                except ValueError:
+                    raise FormatError(f"{path}:{lineno}: not a number: {line!r}") from None
+                if not np.isfinite(v):
+                    raise FormatError(f"{path}:{lineno}: non-finite sample {line!r}")
+                values.append(v)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from None
     if "fs" not in meta:
         raise FormatError(f"{path}: missing required header 'fs'")
     try:
         fs = float(meta["fs"])
     except ValueError:
         raise FormatError(f"{path}: fs header is not a number: {meta['fs']!r}") from None
-    if fs <= 0:
-        raise FormatError(f"{path}: fs must be positive, got {fs}")
+    if not 0 < fs < np.inf:
+        raise FormatError(f"{path}: fs must be positive and finite, got {fs}")
     if not values:
         raise FormatError(f"{path}: no samples")
     return EcgRecording(
@@ -139,20 +147,36 @@ def _load_binary(path) -> EcgRecording:
         if len(raw) != 4:
             raise FormatError(f"{path}: truncated header length (offset 4)")
         (hlen,) = struct.unpack("<I", raw)
+        # sizes are checked before reading so a corrupt length cannot force a huge read
+        size = os.fstat(fh.fileno()).st_size
+        if hlen > size - 8:
+            raise FormatError(f"{path}: header length {hlen} exceeds the file (offset 4)")
         try:
             header = json.loads(fh.read(hlen).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, huge ints
             raise FormatError(f"{path}: bad JSON header: {exc}") from None
+        if not isinstance(header, dict):
+            raise FormatError(f"{path}: JSON header is not an object")
         for key in ("record_id", "fs", "lead", "n"):
             if key not in header:
                 raise FormatError(f"{path}: header missing key {key!r}")
-        n = int(header["n"])
-        data = np.fromfile(fh, dtype="<f4", count=n)
-        if len(data) != n:
-            raise FormatError(f"{path}: expected {n} samples, found {len(data)}")
+        n = header["n"]
+        if type(n) is not int or n < 0:
+            raise FormatError(f"{path}: header n must be a non-negative integer, got {n!r}")
+        try:
+            fs = float(header["fs"])
+        except (TypeError, ValueError, OverflowError):
+            raise FormatError(f"{path}: header fs is not a number: {header['fs']!r}") from None
+        dtype = header.get("dtype", LEGACY_DTYPE)
+        if dtype not in (BINARY_DTYPE, LEGACY_DTYPE):
+            raise FormatError(f"{path}: unknown sample dtype {dtype!r}")
+        available = (size - fh.tell()) // np.dtype(dtype).itemsize
+        if available < n:
+            raise FormatError(f"{path}: expected {n} samples, found {available}")
+        data = np.fromfile(fh, dtype=dtype, count=n)
     return EcgRecording(
-        samples=data.astype(np.float64),
-        fs=float(header["fs"]),
+        samples=data,
+        fs=fs,
         lead_name=str(header["lead"]),
         record_id=str(header["record_id"]),
     )
@@ -170,13 +194,13 @@ def write_recording(rec: EcgRecording, path, fmt="csv") -> None:
     elif fmt == "binary":
         header = json.dumps(
             {"record_id": rec.record_id, "fs": rec.fs, "lead": rec.lead_name,
-             "n": int(len(rec.samples))}
+             "n": int(len(rec.samples)), "dtype": BINARY_DTYPE}
         ).encode("utf-8")
         with open(path, "wb") as fh:
             fh.write(BINARY_MAGIC)
             fh.write(struct.pack("<I", len(header)))
             fh.write(header)
-            rec.samples.astype("<f4").tofile(fh)
+            rec.samples.astype(BINARY_DTYPE).tofile(fh)
     else:
         raise FormatError(f"unknown recording format {fmt!r}")
 

@@ -10,6 +10,12 @@ subcommands) produces byte-identical artifacts to a monolithic run:
   daf      -> daf.csv, spectra/
   eval     -> features.csv, metrics.json, report.txt
 
+Synth records (by default) and the per-window, per-method residuals in
+residuals/{window_id}__{method}.fwk are binary float64 ``.fwk`` files,
+so nothing is rounded between stages. A stage whose input is missing
+(e.g. ``daf`` before ``extract``) raises ConfigError naming the file and
+the stage that writes it.
+
 Failures are per-window: a bad window lands in the exclusion ledger and
 the run continues. A run that yields zero usable windows raises
 NoUsableWindowsError (CLI exit code 3).
@@ -18,7 +24,7 @@ NoUsableWindowsError (CLI exit code 3).
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,7 +78,7 @@ class PipelineConfig:
     rf_n_trees: int = 100
     rf_max_depth: int = 4
     dump_beats: bool = False
-    record_format: str = "csv"
+    record_format: str = "binary"
 
     def validate(self) -> None:
         for m in self.extractors:
@@ -128,6 +134,12 @@ def _path(cfg, *parts) -> str:
     return os.path.join(cfg.out_dir, *parts)
 
 
+def _require(path, stage) -> None:
+    """Raise ConfigError if ``path``, an output of ``stage``, is missing."""
+    if not os.path.exists(path):
+        raise ConfigError(f"missing {path}: it is written by `fwave {stage}`, run that first")
+
+
 # --- stage: synth -----------------------------------------------------------
 
 def stage_synth(cfg: PipelineConfig) -> list:
@@ -173,17 +185,20 @@ def stage_synth(cfg: PipelineConfig) -> list:
 # --- stage: extract ---------------------------------------------------------
 
 def _window_jobs(cfg: PipelineConfig):
-    """Yield (window_id, samples, fs, label) for every candidate window,
-    plus a ledger of event-level exclusions."""
+    """List (window_id, samples, fs, label, prefiltered) for every
+    candidate window, plus a ledger of event-level exclusions."""
     jobs = []
     event_exclusions = []
     manifest_path = _path(cfg, "records", "manifest.json")
     if cfg.synth is not None or os.path.exists(manifest_path):
+        _require(manifest_path, "synth")
         with open(manifest_path) as fh:
             manifest = json.load(fh)["records"]
         for entry in manifest:
-            rec = dataio.load_recording(_path(cfg, "records", entry["path"]))
-            jobs.append((entry["id"], rec.samples, rec.fs, entry["label"]))
+            rec_path = _path(cfg, "records", entry["path"])
+            _require(rec_path, "synth")
+            rec = dataio.load_recording(rec_path)
+            jobs.append((entry["id"], rec.samples, rec.fs, entry["label"], False))
     for item in cfg.recordings:
         rec = dataio.load_recording(item["recording"])
         ann = dataio.load_annotations(item["annotation"])
@@ -212,8 +227,16 @@ def _window_jobs(cfg: PipelineConfig):
         for win in result.windows + nonaf:
             wid = f"{rec.record_id}_w{win.start_sample:09d}"
             jobs.append(
-                (wid, filtered[win.start_sample : win.end_sample], rec.fs, win.label)
+                (wid, filtered[win.start_sample : win.end_sample], rec.fs, win.label, True)
             )
+    seen = set()
+    for wid, *_ in jobs:
+        if wid in seen:
+            # residual files are named by window id and would overwrite each other
+            raise ConfigError(
+                f"window id {wid!r} occurs twice; give every recording a distinct record_id"
+            )
+        seen.add(wid)
     return jobs, event_exclusions
 
 
@@ -224,8 +247,7 @@ def _process_window(args):
     filtered here (whole record = one window); real-recording windows
     arrive prefiltered.
     """
-    wid, samples, fs, label, cfg_dict, already_filtered = args
-    cfg = PipelineConfig(**{**cfg_dict, "filter": FilterSpec.from_dict(cfg_dict["filter"])})
+    wid, samples, fs, label, cfg, already_filtered = args
     try:
         x = samples if already_filtered else prefilter(samples, fs, cfg.filter)
         report = compute_bsqi(
@@ -258,16 +280,9 @@ def _process_window(args):
 def stage_extract(cfg: PipelineConfig) -> dict:
     """Gate windows, run every extractor, write residuals and the ledger."""
     jobs, event_exclusions = _window_jobs(cfg)
-    cfg_dict = asdict(cfg)
-    cfg_dict["filter"] = cfg.filter.to_dict()
-    synth_ids = set()
-    manifest_path = _path(cfg, "records", "manifest.json")
-    if os.path.exists(manifest_path):
-        with open(manifest_path) as fh:
-            synth_ids = {e["id"] for e in json.load(fh)["records"]}
     work = [
-        (wid, samples, fs, label, cfg_dict, wid not in synth_ids)
-        for wid, samples, fs, label in jobs
+        (wid, samples, fs, label, cfg, prefiltered)
+        for wid, samples, fs, label, prefiltered in jobs
     ]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
@@ -290,7 +305,7 @@ def stage_extract(cfg: PipelineConfig) -> dict:
                 samples=residual, fs=res["fs"], lead_name=method, record_id=res["window_id"]
             )
             dataio.write_recording(
-                rec, os.path.join(res_dir, f"{res['window_id']}__{method}.csv"), fmt="csv"
+                rec, os.path.join(res_dir, f"{res['window_id']}__{method}.fwk"), fmt="binary"
             )
         if cfg.dump_beats and "beats" in res:
             beat_dir = _path(cfg, "beats")
@@ -311,7 +326,9 @@ def stage_extract(cfg: PipelineConfig) -> dict:
 def stage_daf(cfg: PipelineConfig) -> FeatureTable:
     """Welch PSD + band peak for every residual; writes daf.csv and one
     spectrum dump per method for the first AF window (plot-ready data)."""
-    with open(_path(cfg, "windows.json")) as fh:
+    meta_path = _path(cfg, "windows.json")
+    _require(meta_path, "extract")
+    with open(meta_path) as fh:
         meta = json.load(fh)
     windows = meta["windows"]
     methods = meta["extractors"]
@@ -321,7 +338,9 @@ def stage_daf(cfg: PipelineConfig) -> FeatureTable:
     for win in windows:
         wid, label, fs = win["window_id"], win["label"], win["fs"]
         for method in methods:
-            rec = dataio.load_recording(_path(cfg, "residuals", f"{wid}__{method}.csv"))
+            res_path = _path(cfg, "residuals", f"{wid}__{method}.fwk")
+            _require(res_path, "extract")
+            rec = dataio.load_recording(res_path)
             ps = spectral.welch_psd(
                 rec.samples, fs, seg_s=cfg.welch_seg_s,
                 overlap=cfg.welch_overlap, method=method,
@@ -355,7 +374,9 @@ def _daf_summary(table: FeatureTable, method: str) -> dict:
 def stage_eval(cfg: PipelineConfig, table: FeatureTable | None = None) -> dict:
     """Split, train per-method forests, rank, vote, and write reports."""
     if table is None:
-        table = FeatureTable.from_csv(_path(cfg, "daf.csv"))
+        daf_path = _path(cfg, "daf.csv")
+        _require(daf_path, "daf")
+        table = FeatureTable.from_csv(daf_path)
     if len(table) == 0:
         raise NoUsableWindowsError("no usable windows reached evaluation")
     if any(s not in ("train", "test") for s in table.split):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fwave.cli import main
-from fwave.dataio import load_recording
+from fwave.dataio import EcgRecording, load_recording, write_recording
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -28,6 +28,20 @@ def _sha(path):
     return hashlib.sha256(open(path, "rb").read()).hexdigest()
 
 
+def _tree_hashes(root):
+    return {
+        os.path.relpath(os.path.join(d, f), root): _sha(os.path.join(d, f))
+        for d, _, files in os.walk(root) for f in files
+    }
+
+
+def _one_line_error(capsys, *needles):
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("config error: ") and "\n" not in err, err
+    for needle in needles:
+        assert needle in err, err
+
+
 class TestSynthCommand:
     def test_writes_records_and_manifest(self, tmp_path, capsys):
         out = str(tmp_path / "o")
@@ -38,6 +52,7 @@ class TestSynthCommand:
         assert len(manifest["records"]) == 3
         labels = [e["label"] for e in manifest["records"]]
         assert labels.count("AF") == 2 and labels.count("non-AF") == 1
+        assert all(e["path"].endswith(".fwk") for e in manifest["records"])
         rec = load_recording(os.path.join(out, "records", manifest["records"][0]["path"]))
         assert rec.duration_s == pytest.approx(60.0)
         truth = json.load(open(os.path.join(out, "records",
@@ -53,6 +68,16 @@ class TestSynthCommand:
         manifest = json.load(open(os.path.join(out, "records", "manifest.json")))
         assert manifest["records"][0]["path"].endswith(".fwk")
         load_recording(os.path.join(out, "records", manifest["records"][0]["path"]))
+
+    def test_csv_format_flag(self, tmp_path):
+        out = str(tmp_path / "o")
+        rc = main(["synth", "--n-af", "1", "--n-sinus", "0", "--out", out,
+                   "--format", "csv"])
+        assert rc == 0
+        manifest = json.load(open(os.path.join(out, "records", "manifest.json")))
+        path = os.path.join(out, "records", manifest["records"][0]["path"])
+        assert path.endswith(".csv")
+        assert open(path).readline().startswith("# record_id=")
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +115,16 @@ class TestFullRun:
         assert not used & excluded
         assert len(used) + len(excluded) == 20
 
+    def test_residuals_are_fwk(self, run_dir):
+        windows = json.load(open(os.path.join(run_dir, "windows.json")))["windows"]
+        names = sorted(os.listdir(os.path.join(run_dir, "residuals")))
+        assert names == sorted(
+            f"{w['window_id']}__{m}.fwk" for w in windows
+            for m in ("TS_B", "TS_CE", "TS_SU", "TS_PCA")
+        )
+        rec = load_recording(os.path.join(run_dir, "residuals", names[0]))
+        assert rec.samples.dtype == np.float64
+
     def test_spectra_dumped(self, run_dir):
         spectra = os.listdir(os.path.join(run_dir, "spectra"))
         assert len(spectra) == 4
@@ -115,6 +150,83 @@ class TestStagedComposition:
         out_b = json.load(open(cfg_b))["out_dir"]
         for name in ("features.csv", "metrics.json", "daf.csv", "report.txt"):
             assert _sha(os.path.join(out_a, name)) == _sha(os.path.join(out_b, name)), name
+
+
+class TestWorkers:
+    def test_two_workers_match_one(self, tmp_path):
+        cfg_a = _config(tmp_path / "a", seed=31)
+        cfg_b = _config(tmp_path / "b", seed=31)
+        assert main(["run", "--config", cfg_a, "--workers", "1"]) == 0
+        assert main(["run", "--config", cfg_b, "--workers", "2"]) == 0
+        out_a = json.load(open(cfg_a))["out_dir"]
+        out_b = json.load(open(cfg_b))["out_dir"]
+        hashes = _tree_hashes(out_a)
+        assert any(name.startswith("residuals") for name in hashes)
+        assert hashes == _tree_hashes(out_b)
+
+
+class TestStageOrder:
+    """A stage run before the stage that writes its input exits with a
+    one-line config error naming the file and that stage."""
+
+    def test_extract_before_synth(self, tmp_path, capsys):
+        cfg = _config(tmp_path)
+        assert main(["extract", "--config", cfg]) == 2
+        _one_line_error(capsys, os.path.join("records", "manifest.json"), "fwave synth")
+
+    def test_daf_before_extract(self, tmp_path, capsys):
+        cfg = _config(tmp_path)
+        assert main(["synth", "--config", cfg]) == 0
+        capsys.readouterr()
+        assert main(["daf", "--config", cfg]) == 2
+        _one_line_error(capsys, "windows.json", "fwave extract")
+
+    def test_eval_before_daf(self, tmp_path, capsys):
+        cfg = _config(tmp_path)
+        assert main(["eval", "--config", cfg]) == 2
+        _one_line_error(capsys, "daf.csv", "fwave daf")
+
+    def test_residuals_from_an_older_version(self, tmp_path, capsys):
+        # earlier versions wrote residuals as .csv; daf now reads .fwk
+        cfg = _config(tmp_path)
+        out = tmp_path / "out"
+        (out / "residuals").mkdir(parents=True)
+        (out / "windows.json").write_text(json.dumps({
+            "windows": [{"window_id": "synth0000", "label": "AF", "fs": 200.0}],
+            "extractors": ["TS_B"],
+        }))
+        rec = EcgRecording(samples=np.zeros(100) + 0.1, fs=200.0, record_id="synth0000")
+        write_recording(rec, out / "residuals" / "synth0000__TS_B.csv", fmt="csv")
+        assert main(["daf", "--config", cfg]) == 2
+        _one_line_error(capsys, "synth0000__TS_B.fwk", "fwave extract")
+
+    def test_missing_feature_table(self, tmp_path, capsys):
+        missing = str(tmp_path / "nope.csv")
+        assert main(["eval", "--features", missing, "--out", str(tmp_path / "o")]) == 2
+        _one_line_error(capsys, missing)
+
+
+class TestWindowIds:
+    def test_colliding_record_ids_rejected(self, tmp_path, capsys):
+        # header-less CSVs all get record_id "unknown", so their windows
+        # would share ids and overwrite each other's residuals
+        fs = 200
+        x = 0.1 * np.sin(np.arange(130 * fs) * 0.05)
+        recordings = []
+        for i in range(2):
+            rec_path = tmp_path / f"r{i}.csv"
+            rec_path.write_text("# fs=200\n" + "\n".join(f"{v:.6f}" for v in x) + "\n")
+            ann_path = tmp_path / f"r{i}.json"
+            ann_path.write_text(json.dumps([
+                {"onset": 0, "offset": 65 * fs, "label": "AF"},
+                {"onset": 65 * fs, "offset": 130 * fs, "label": "non-AF"},
+            ]))
+            recordings.append({"recording": str(rec_path), "annotation": str(ann_path)})
+        cfg = _config(tmp_path, synth=None, recordings=recordings)
+        assert main(["extract", "--config", cfg]) == 2
+        _one_line_error(capsys, "unknown_w000000000", "record_id")
+        out = tmp_path / "out"
+        assert not (out / "residuals").exists() and not (out / "windows.json").exists()
 
 
 class TestExitCodes:

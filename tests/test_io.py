@@ -1,9 +1,13 @@
 import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fwave.dataio import (
+    BINARY_MAGIC,
     EcgRecording,
     RhythmAnnotation,
     extract_af_windows,
@@ -14,6 +18,12 @@ from fwave.dataio import (
     write_recording,
 )
 from fwave.errors import FormatError
+
+
+def _fwk_bytes(header, payload: bytes) -> bytes:
+    """A hand-built ``.fwk`` file: magic, header length, JSON header, payload."""
+    raw = json.dumps(header).encode("utf-8")
+    return BINARY_MAGIC + struct.pack("<I", len(raw)) + raw + payload
 
 
 def _write_csv(path, samples, fs=200.0, record_id="rec1", lead="V1"):
@@ -61,6 +71,12 @@ class TestCsvFormat:
         with pytest.raises(FormatError, match="positive"):
             load_recording(p)
 
+    def test_non_utf8_bytes(self, tmp_path):
+        p = tmp_path / "r.csv"
+        p.write_bytes(b"# fs=200\n0.1\n\xff\xfe0.2\n")
+        with pytest.raises(FormatError, match="UTF-8"):
+            load_recording(p)
+
     def test_csv_roundtrip(self, tmp_path):
         rec = EcgRecording(samples=np.sin(np.arange(100) * 0.3), fs=128.0,
                            lead_name="L", record_id="abc")
@@ -83,6 +99,55 @@ class TestBinaryFormat:
         assert back.record_id == "bin1"
         assert back.fs == 200.0
         assert np.array_equal(back.samples, samples)
+
+    def test_float64_roundtrip_bit_exact(self, tmp_path):
+        samples = np.random.default_rng(0).normal(size=5000)
+        rec = EcgRecording(samples=samples, fs=250.0, lead_name="V1", record_id="f64")
+        p = tmp_path / "r.fwk"
+        write_recording(rec, p, fmt="binary")
+        back = load_recording(p)
+        assert back.samples.dtype == np.float64
+        assert back.samples.tobytes() == samples.tobytes()
+
+    def test_legacy_float32_file_loads(self, tmp_path):
+        # files written before the dtype key carry float32 samples
+        payload = np.random.default_rng(1).normal(size=300).astype("<f4")
+        p = tmp_path / "old.fwk"
+        p.write_bytes(_fwk_bytes(
+            {"record_id": "old", "fs": 200.0, "lead": "V1", "n": 300}, payload.tobytes()))
+        back = load_recording(p)
+        assert back.record_id == "old" and back.fs == 200.0
+        assert np.array_equal(back.samples, payload.astype(np.float64))
+
+    def test_unknown_dtype(self, tmp_path):
+        p = tmp_path / "r.fwk"
+        p.write_bytes(_fwk_bytes(
+            {"record_id": "r", "fs": 200.0, "lead": "V1", "n": 4, "dtype": "<i2"}, b"\0" * 32))
+        with pytest.raises(FormatError, match="unknown sample dtype '<i2'"):
+            load_recording(p)
+
+    @pytest.mark.parametrize("bad", [
+        {"n": "abc"}, {"n": 1.5}, {"n": -1}, {"n": True}, {"fs": "x"}, {"fs": None},
+        {"fs": float("inf")}, {"fs": 0.0},
+    ])
+    def test_bad_header_values(self, tmp_path, bad):
+        header = {"record_id": "r", "fs": 200.0, "lead": "V1", "n": 2, "dtype": "<f8", **bad}
+        p = tmp_path / "r.fwk"
+        p.write_bytes(_fwk_bytes(header, np.ones(2).tobytes()))
+        with pytest.raises(FormatError):
+            load_recording(p)
+
+    def test_header_not_an_object(self, tmp_path):
+        p = tmp_path / "r.fwk"
+        p.write_bytes(_fwk_bytes(["record_id", "fs", "lead", "n"], b""))
+        with pytest.raises(FormatError, match="object"):
+            load_recording(p)
+
+    def test_header_length_past_end(self, tmp_path):
+        p = tmp_path / "r.fwk"
+        p.write_bytes(BINARY_MAGIC + struct.pack("<I", 2**32 - 1) + b"{}")
+        with pytest.raises(FormatError, match="exceeds"):
+            load_recording(p)
 
     def test_format_inferred_from_magic(self, tmp_path):
         rec = EcgRecording(samples=np.ones(100), fs=200.0)
@@ -114,6 +179,65 @@ class TestBinaryFormat:
         p = tmp_path / "r.fwk"
         write_recording(rec, p, fmt="binary")
         assert load_recording(p).duration_s == pytest.approx(3600.0)
+
+
+def _valid_files():
+    rec = EcgRecording(samples=np.sin(np.arange(40) * 0.3), fs=200.0,
+                       lead_name="V1", record_id="fz")
+    legacy = _fwk_bytes({"record_id": "fz", "fs": 200.0, "lead": "V1", "n": 40},
+                        rec.samples.astype("<f4").tobytes())
+    return rec, legacy
+
+
+class TestLoaderFuzz:
+    """``load_recording`` returns a valid recording or raises FormatError,
+    whatever bytes it is given."""
+
+    @pytest.fixture(scope="class")
+    def seeds(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("fuzz")
+        rec, legacy = _valid_files()
+        write_recording(rec, d / "r.fwk", fmt="binary")
+        write_recording(rec, d / "r.csv", fmt="csv")
+        files = [(d / "r.fwk").read_bytes(), (d / "r.csv").read_bytes(), legacy]
+        return d / "case.dat", files
+
+    @staticmethod
+    def _check(path, data):
+        path.write_bytes(data)
+        try:
+            rec = load_recording(path)
+        except FormatError:
+            return
+        assert isinstance(rec, EcgRecording)
+        assert rec.samples.dtype == np.float64 and rec.samples.ndim == 1
+        assert rec.samples.size > 0 and np.all(np.isfinite(rec.samples))
+        assert 0 < rec.fs < np.inf
+        assert isinstance(rec.record_id, str) and isinstance(rec.lead_name, str)
+
+    @given(data=st.binary(max_size=600), magic=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_bytes(self, seeds, data, magic):
+        path, _ = seeds
+        self._check(path, (BINARY_MAGIC if magic else b"") + data)
+
+    @given(which=st.integers(0, 2), cut=st.floats(0.0, 1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_truncated(self, seeds, which, cut):
+        path, files = seeds
+        data = files[which]
+        self._check(path, data[: int(cut * len(data))])
+
+    @given(which=st.integers(0, 2),
+           flips=st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(1, 255)),
+                          min_size=1, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_byte_flipped(self, seeds, which, flips):
+        path, files = seeds
+        data = bytearray(files[which])
+        for where, mask in flips:
+            data[min(int(where * len(data)), len(data) - 1)] ^= mask
+        self._check(path, bytes(data))
 
 
 class TestRecordingInvariants:
