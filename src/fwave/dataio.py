@@ -206,18 +206,20 @@ def write_recording(rec: EcgRecording, path, fmt="csv") -> None:
 
 
 def load_annotations(path) -> RhythmAnnotation:
-    with open(path, "r") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: bad annotation JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: annotation file is not UTF-8: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: bad annotation JSON: {exc}") from None
     if not isinstance(data, list):
         raise FormatError(f"{path}: annotation file must hold a JSON list")
     events = []
     for i, item in enumerate(data):
         try:
             events.append((int(item["onset"]), int(item["offset"]), str(item["label"])))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"{path}: event {i}: {exc}") from None
     return RhythmAnnotation(events=events)
 

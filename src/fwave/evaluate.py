@@ -2,7 +2,9 @@
 
 A small random forest is grown from scratch on the single scalar DAF
 feature (bootstrap-sampled, Gini-split threshold trees), which keeps
-training fully deterministic for a given seed. AUROC uses the rank
+training fully deterministic for a given seed. Each node finds its
+split by one prefix-sum sweep over the sorted feature, and each tree
+predicts a whole test vector at once. AUROC uses the rank
 statistic (Mann-Whitney), ties counting 0.5.
 """
 
@@ -12,10 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
 
 POSITIVE_LABEL = "AF"
 DEFAULT_THRESHOLD = 0.5
+REQUIRED_COLUMNS = ("window_id", "method", "daf_hz", "label")
 
 
 @dataclass
@@ -68,15 +71,36 @@ class FeatureTable:
 
     @classmethod
     def from_csv(cls, path):
+        """Read a table written by ``to_csv``; ``split`` may be absent.
+
+        A missing column, a short row, a non-finite or non-numeric
+        ``daf_hz`` or bytes that are not UTF-8 raise FormatError.
+        """
         wid, met, daf, lab, spl = [], [], [], [], []
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
-                wid.append(row["window_id"])
-                met.append(row["method"])
-                daf.append(float(row["daf_hz"]))
-                lab.append(row["label"])
-                spl.append(row.get("split", "") or "")
+        try:
+            with open(path, newline="", encoding="utf-8") as fh:
+                reader = csv.DictReader(fh)
+                missing = [c for c in REQUIRED_COLUMNS if c not in (reader.fieldnames or ())]
+                if missing:
+                    raise FormatError(f"{path}: missing column(s) {', '.join(missing)}")
+                for row in reader:
+                    values = [row[c] for c in REQUIRED_COLUMNS]
+                    try:
+                        d = float(row["daf_hz"])
+                    except (TypeError, ValueError):
+                        d = np.nan
+                    if None in values or not np.isfinite(d):
+                        raise FormatError(
+                            f"{path}: line {reader.line_num}: need a finite daf_hz and "
+                            f"all of {', '.join(REQUIRED_COLUMNS)}, got {values}"
+                        )
+                    wid.append(row["window_id"])
+                    met.append(row["method"])
+                    daf.append(d)
+                    lab.append(row["label"])
+                    spl.append(row.get("split", "") or "")
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise FormatError(f"{path}: {exc}") from None
         return cls(wid, met, daf, lab, spl)
 
     @classmethod
@@ -146,7 +170,7 @@ def stratified_split(table: FeatureTable, train_frac: float = 0.8, rng_seed: int
 
 # --- random forest on a single scalar feature ------------------------------
 
-def _grow_tree(x, y, depth, max_depth, rng):
+def _grow_tree(x, y, depth, max_depth):
     """Nodes are (threshold, left, right); leaves are float AF fractions."""
     if depth >= max_depth or len(np.unique(y)) == 1:
         return float(np.mean(y))
@@ -156,36 +180,34 @@ def _grow_tree(x, y, depth, max_depth, rng):
     if len(uniq) < 2:
         return float(np.mean(y))
     thresholds = (uniq[:-1] + uniq[1:]) / 2.0
-    best, best_thr = None, None
+    # each threshold's left side is a prefix of the sorted rows: row 0
+    # of n and k holds the left sizes and AF counts, row 1 the right
     total = len(ys)
-    for thr in thresholds:
-        left = ys[xs <= thr]
-        right = ys[xs > thr]
-        gl = _gini(left)
-        gr = _gini(right)
-        score = (len(left) * gl + len(right) * gr) / total
+    nl = np.searchsorted(xs, thresholds, side="right")
+    af_left = np.concatenate(([0], np.cumsum(ys)))[nl]
+    n = np.array([nl, total - nl])
+    k = np.array([af_left, ys.sum() - af_left])
+    p = k / np.maximum(n, 1)  # an empty side has Gini 0
+    g = 2.0 * p * (1.0 - p)
+    scores = (n[0] * g[0] + n[1] * g[1]) / total
+    best = None  # move on only to a score lower by more than 1e-15
+    for i, score in enumerate(scores.tolist()):
         if best is None or score < best - 1e-15:
-            best, best_thr = score, thr
-    mask = x <= best_thr
+            best, best_i = score, i
+    n_left = nl[best_i]
     return (
-        float(best_thr),
-        _grow_tree(x[mask], y[mask], depth + 1, max_depth, rng),
-        _grow_tree(x[~mask], y[~mask], depth + 1, max_depth, rng),
+        float(thresholds[best_i]),
+        _grow_tree(xs[:n_left], ys[:n_left], depth + 1, max_depth),
+        _grow_tree(xs[n_left:], ys[n_left:], depth + 1, max_depth),
     )
 
 
-def _gini(y):
-    if len(y) == 0:
-        return 0.0
-    p = float(np.mean(y))
-    return 2.0 * p * (1.0 - p)
-
-
-def _tree_predict(node, v):
-    while isinstance(node, tuple):
-        thr, left, right = node
-        node = left if v <= thr else right
-    return node
+def _tree_output(node, x):
+    """A tree's leaf value for every element of ``x``."""
+    if not isinstance(node, tuple):
+        return node
+    thr, left, right = node
+    return np.where(x <= thr, _tree_output(left, x), _tree_output(right, x))
 
 
 def train_rf(
@@ -210,7 +232,7 @@ def train_rf(
     for seq in children:
         rng = np.random.default_rng(seq)
         idx = rng.integers(0, len(x), size=len(x))
-        trees.append(_grow_tree(x[idx], y[idx], 0, max_depth, rng))
+        trees.append(_grow_tree(x[idx], y[idx], 0, max_depth))
     return RandomForestModel(
         trees=trees, n_trees=n_trees, max_depth=max_depth, rng_seed=rng_seed,
         method=method, prior=prior,
@@ -223,7 +245,7 @@ def predict_proba(model: RandomForestModel, x) -> np.ndarray:
         return np.full(len(x), model.prior)
     out = np.zeros(len(x))
     for tree in model.trees:
-        out += [_tree_predict(tree, v) for v in x]
+        out += _tree_output(tree, x)
     return out / len(model.trees)
 
 

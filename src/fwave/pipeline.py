@@ -14,7 +14,8 @@ Synth records (by default) and the per-window, per-method residuals in
 residuals/{window_id}__{method}.fwk are binary float64 ``.fwk`` files,
 so nothing is rounded between stages. A stage whose input is missing
 (e.g. ``daf`` before ``extract``) raises ConfigError naming the file and
-the stage that writes it.
+the stage that writes it; a ``recordings`` entry naming no file raises
+ConfigError naming the path and its config key.
 
 Failures are per-window: a bad window lands in the exclusion ledger and
 the run continues. A run that yields zero usable windows raises
@@ -199,7 +200,11 @@ def _window_jobs(cfg: PipelineConfig):
             _require(rec_path, "synth")
             rec = dataio.load_recording(rec_path)
             jobs.append((entry["id"], rec.samples, rec.fs, entry["label"], False))
-    for item in cfg.recordings:
+    for i, item in enumerate(cfg.recordings):
+        for key in ("recording", "annotation"):
+            path = item.get(key)
+            if not isinstance(path, str) or not os.path.isfile(path):
+                raise ConfigError(f"missing {path}: named by config key recordings[{i}].{key}")
         rec = dataio.load_recording(item["recording"])
         ann = dataio.load_annotations(item["annotation"])
         filtered = prefilter(rec.samples, rec.fs, cfg.filter)

@@ -35,9 +35,9 @@ def _tree_hashes(root):
     }
 
 
-def _one_line_error(capsys, *needles):
+def _one_line_error(capsys, *needles, prefix="config error: "):
     err = capsys.readouterr().err.strip()
-    assert err.startswith("config error: ") and "\n" not in err, err
+    assert err.startswith(prefix) and "\n" not in err, err
     for needle in needles:
         assert needle in err, err
 
@@ -206,6 +206,35 @@ class TestStageOrder:
         _one_line_error(capsys, missing)
 
 
+class TestRecordingPaths:
+    """A ``recordings`` entry naming a file that does not exist exits with
+    a one-line config error naming the path and the config key."""
+
+    @staticmethod
+    def _entry(tmp_path):
+        rec_path = tmp_path / "r.fwk"
+        write_recording(EcgRecording(samples=np.zeros(100) + 0.1, fs=200.0),
+                        rec_path, fmt="binary")
+        ann_path = tmp_path / "r.json"
+        ann_path.write_text(json.dumps([{"onset": 0, "offset": 100, "label": "non-AF"}]))
+        return {"recording": str(rec_path), "annotation": str(ann_path)}
+
+    @pytest.mark.parametrize("key", ["recording", "annotation"])
+    def test_missing_file(self, tmp_path, capsys, key):
+        entry = self._entry(tmp_path)
+        entry[key] = str(tmp_path / "missing")
+        cfg = _config(tmp_path, synth=None, recordings=[entry])
+        assert main(["extract", "--config", cfg]) == 2
+        _one_line_error(capsys, str(tmp_path / "missing"), f"recordings[0].{key}")
+
+    def test_absent_key(self, tmp_path, capsys):
+        entry = self._entry(tmp_path)
+        del entry["annotation"]
+        cfg = _config(tmp_path, synth=None, recordings=[entry])
+        assert main(["extract", "--config", cfg]) == 2
+        _one_line_error(capsys, "recordings[0].annotation")
+
+
 class TestWindowIds:
     def test_colliding_record_ids_rejected(self, tmp_path, capsys):
         # header-less CSVs all get record_id "unknown", so their windows
@@ -271,3 +300,15 @@ class TestEvalOnFeatureTable:
         metrics = json.load(open(tmp_path / "o" / "metrics.json"))
         assert metrics["vote"]["auroc"] == pytest.approx(1.0)
         assert metrics["vote"]["f1"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("data, needle", [
+        (b"window_id,method,label,split\nw0,vote,AF,train\n", "daf_hz"),
+        (b"window_id,method,daf_hz,label,split\nw0,vote,6.1,AF,train\n"
+         b"w1,vote,six,AF,train\n", "line 3"),
+        (b"window_id,method,daf_hz,label,split\nw0,vote,6.1,AF,tr\xe4in\n", "utf-8"),
+    ], ids=["no_daf_column", "non_numeric", "non_utf8"])
+    def test_malformed_table_is_exit_1(self, tmp_path, capsys, data, needle):
+        feat = tmp_path / "features.csv"
+        feat.write_bytes(data)
+        assert main(["eval", "--features", str(feat), "--out", str(tmp_path / "o")]) == 1
+        _one_line_error(capsys, str(feat), needle, prefix="error: ")

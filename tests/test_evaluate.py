@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fwave.errors import ConfigError
+import fwave.evaluate
+from fwave.errors import ConfigError, FormatError
 from fwave.evaluate import (
     ClassifierMetrics,
     FeatureTable,
@@ -14,6 +15,98 @@ from fwave.evaluate import (
     stratified_split,
     train_rf,
 )
+from fwave.pipeline import PipelineConfig, stage_eval
+
+WELCH_BIN_HZ = 200.0 / 8192  # DAF grid of the default 10 s Welch segments
+
+
+# Oracle for the forest's split search: a scan that masks both sides of
+# every threshold and scores each with _gini. The prefix-sum sweep in
+# fwave.evaluate must grow the same trees bit for bit.
+def _grow_tree_reference(x, y, depth, max_depth, rng=None):
+    """Nodes are (threshold, left, right); leaves are float AF fractions."""
+    if depth >= max_depth or len(np.unique(y)) == 1:
+        return float(np.mean(y))
+    order = np.argsort(x, kind="stable")
+    xs, ys = x[order], y[order]
+    uniq = np.unique(xs)
+    if len(uniq) < 2:
+        return float(np.mean(y))
+    thresholds = (uniq[:-1] + uniq[1:]) / 2.0
+    best, best_thr = None, None
+    total = len(ys)
+    for thr in thresholds:
+        left = ys[xs <= thr]
+        right = ys[xs > thr]
+        gl = _gini(left)
+        gr = _gini(right)
+        score = (len(left) * gl + len(right) * gr) / total
+        if best is None or score < best - 1e-15:
+            best, best_thr = score, thr
+    mask = x <= best_thr
+    return (
+        float(best_thr),
+        _grow_tree_reference(x[mask], y[mask], depth + 1, max_depth, rng),
+        _grow_tree_reference(x[~mask], y[~mask], depth + 1, max_depth, rng),
+    )
+
+
+def _gini(y):
+    if len(y) == 0:
+        return 0.0
+    p = float(np.mean(y))
+    return 2.0 * p * (1.0 - p)
+
+
+def _predict_reference(model, x):
+    """One walk from the root per (tree, value), summed in tree order."""
+    out = np.zeros(len(x))
+    for tree in model.trees:
+        values = []
+        for v in x:
+            node = tree
+            while isinstance(node, tuple):
+                thr, left, right = node
+                node = left if v <= thr else right
+            values.append(node)
+        out += values
+    return out / len(model.trees)
+
+
+@st.composite
+def _tree_inputs(draw):
+    """A feature vector (continuous, on the Welch grid, or a handful of
+    repeated values), 0/1 labels and a depth limit."""
+    n = draw(st.integers(2, 200))
+    kind = draw(st.sampled_from(["continuous", "welch", "repeated"]))
+    if kind == "continuous":
+        x = draw(st.lists(st.floats(4.0, 12.0), min_size=n, max_size=n))
+    elif kind == "welch":
+        bins = draw(st.lists(st.integers(164, 492), min_size=n, max_size=n))
+        x = [k * WELCH_BIN_HZ for k in bins]
+    else:
+        pool = draw(st.lists(st.floats(4.0, 12.0).map(lambda v: round(v, 6)),
+                             min_size=1, max_size=5))
+        x = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    y = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return np.array(x, dtype=np.float64), np.array(y), draw(st.integers(1, 6))
+
+
+def _eval_table(seed, n_windows=200):
+    """Four methods per window, DAF on the Welch grid, outliers per method."""
+    rng = np.random.default_rng(seed)
+    t = FeatureTable.empty()
+    for i in range(n_windows):
+        af = i % 2 == 0
+        base = rng.uniform(4.5, 11.0) if af else rng.uniform(4.0, 12.0)
+        for m, outlier_rate in (("TS_B", 0.1), ("TS_CE", 0.08), ("TS_SU", 0.12), ("TS_PCA", 0.25)):
+            if rng.random() < outlier_rate:
+                daf = rng.uniform(4.0, 12.0)
+            else:
+                daf = np.clip(base + rng.normal(0.0, 0.05 if af else 0.5), 4.0, 12.0)
+            t.append(f"win{i:04d}", m, round(daf / WELCH_BIN_HZ) * WELCH_BIN_HZ,
+                     "AF" if af else "non-AF")
+    return t
 
 
 def _table(daf_af, daf_nonaf, method="vote"):
@@ -129,6 +222,45 @@ class TestRandomForest:
         t = stratified_split(t, rng_seed=0)
         with pytest.raises(ConfigError, match="TS_PCA"):
             train_rf(t, "TS_PCA")
+
+    @given(_tree_inputs())
+    # two root thresholds score equal up to rounding here: the first must
+    # win, as with the 1e-15 rule, where argmin would take the other
+    @example((np.array([390, 434, 443, 410, 355, 488, 286, 279]) * WELCH_BIN_HZ,
+              np.array([0, 0, 0, 1, 1, 1, 1, 0]), 1))
+    @settings(max_examples=200, deadline=None)
+    @pytest.mark.filterwarnings("ignore:Mean of empty slice", "ignore:invalid value")
+    def test_grow_tree_matches_reference(self, case):
+        x, y, max_depth = case
+        # repr, not ==: a midpoint that rounds onto the upper of two adjacent
+        # floats leaves one side empty, and both growers make that leaf nan
+        assert repr(fwave.evaluate._grow_tree(x, y, 0, max_depth)) == repr(
+            _grow_tree_reference(x, y, 0, max_depth)
+        )
+
+    def test_predict_proba_matches_per_value_walk(self):
+        rng = np.random.default_rng(6)
+        t = _table(rng.uniform(5, 9, 40), rng.uniform(7, 11, 40))
+        t = stratified_split(t, rng_seed=2)
+        model = train_rf(t, "vote", rng_seed=2)
+        thresholds = []
+        stack = list(model.trees)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, tuple):
+                thresholds.append(node[0])
+                stack.extend(node[1:])
+        # values on a threshold take the left branch
+        x = np.concatenate([rng.uniform(3, 13, 200), thresholds])
+        assert np.array_equal(predict_proba(model, x), _predict_reference(model, x))
+
+    def test_stage_eval_bytes_match_reference_forest(self, tmp_path, monkeypatch):
+        table = _eval_table(seed=4)
+        stage_eval(PipelineConfig(out_dir=str(tmp_path / "new"), seed=4), table=table)
+        monkeypatch.setattr(fwave.evaluate, "_grow_tree", _grow_tree_reference)
+        stage_eval(PipelineConfig(out_dir=str(tmp_path / "ref"), seed=4), table=table)
+        for name in ("features.csv", "metrics.json", "report.txt"):
+            assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes(), name
 
 
 class TestAuroc:
@@ -258,3 +390,23 @@ class TestFeatureTableCsv:
     def test_mismatched_columns_rejected(self):
         with pytest.raises(ValueError):
             FeatureTable(["a"], [], [6.0], ["AF"])
+
+    @pytest.mark.parametrize("text, needle", [
+        ("window_id,method,label\nw0,vote,AF\n", "missing column(s) daf_hz"),
+        ("window_id,method,daf_hz,label\nw0,vote,6.5,AF\nw1,vote,fast,AF\n", "line 3"),
+        ("window_id,method,daf_hz,label\nw0,vote,nan,AF\n", "line 2"),
+        ("window_id,method,daf_hz,label\nw0,vote,6.5\n", "line 2"),
+        ("", "missing column(s) window_id"),
+    ], ids=["no_daf_column", "non_numeric", "non_finite", "short_row", "empty_file"])
+    def test_malformed_table_is_a_format_error(self, tmp_path, text, needle):
+        p = tmp_path / "f.csv"
+        p.write_text(text)
+        with pytest.raises(FormatError, match=r"f\.csv") as info:
+            FeatureTable.from_csv(p)
+        assert needle in str(info.value)
+
+    def test_non_utf8_table_is_a_format_error(self, tmp_path):
+        p = tmp_path / "f.csv"
+        p.write_bytes(b"window_id,method,daf_hz,label\nw\xff,vote,6.5,AF\n")
+        with pytest.raises(FormatError, match="utf-8"):
+            FeatureTable.from_csv(p)

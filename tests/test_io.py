@@ -240,6 +240,62 @@ class TestLoaderFuzz:
         self._check(path, bytes(data))
 
 
+class TestAnnotationFuzz:
+    """``load_annotations`` returns a RhythmAnnotation or raises
+    FormatError, whatever bytes it is given."""
+
+    VALID = json.dumps([
+        {"onset": 0, "offset": 12000, "label": "non-AF"},
+        {"onset": 12000, "offset": 30000, "label": "AF"},
+    ], indent=1).encode("utf-8")
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("annfuzz") / "a.json"
+
+    @staticmethod
+    def _check(path, data):
+        path.write_bytes(data)
+        try:
+            ann = load_annotations(path)
+        except FormatError:
+            return
+        assert isinstance(ann, RhythmAnnotation)
+        for onset, offset, label in ann.events:
+            assert isinstance(onset, int) and isinstance(offset, int)
+            assert isinstance(label, str)
+
+    @given(data=st.binary(max_size=600))
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_bytes(self, path, data):
+        self._check(path, data)
+
+    @given(cut=st.floats(0.0, 1.0))
+    @settings(max_examples=100, deadline=None)
+    def test_truncated(self, path, cut):
+        self._check(path, self.VALID[: int(cut * len(self.VALID))])
+
+    @given(flips=st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(1, 255)),
+                          min_size=1, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_byte_flipped(self, path, flips):
+        data = bytearray(self.VALID)
+        for where, mask in flips:
+            data[min(int(where * len(data)), len(data) - 1)] ^= mask
+        self._check(path, bytes(data))
+
+    @pytest.mark.parametrize("text", [
+        '[{"onset": "abc", "offset": 10, "label": "AF"}]',
+        '[{"onset": 1e999, "offset": 10, "label": "AF"}]',
+        '[{"onset": NaN, "offset": 10, "label": "AF"}]',
+    ], ids=["text", "overflow", "nan"])
+    def test_bad_onset(self, tmp_path, text):
+        p = tmp_path / "a.json"
+        p.write_text(text)
+        with pytest.raises(FormatError, match="event 0"):
+            load_annotations(p)
+
+
 class TestRecordingInvariants:
     def test_rejects_empty(self):
         with pytest.raises(FormatError):
