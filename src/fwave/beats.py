@@ -3,16 +3,16 @@
 Two detectors of different principles are provided so that their
 agreement (bSQI) reflects signal quality rather than detector identity:
 an energy detector (derivative - square - moving integration with an
-adaptive threshold) and a matched-filter detector correlating against a
-self-estimated QRS kernel.
+adaptive threshold, after Pan & Tompkins) and a matched-filter detector
+correlating against a QRS kernel averaged from the energy detections.
+The matched detector takes those detections as an argument, so a window
+runs the energy detector once (see ``preprocess.compute_bsqi``).
 """
 
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-
-from ._kernels import adaptive_scan, moving_average
 
 REFRACTORY_S = 0.2  # 300 bpm ceiling
 INTEG_WINDOW_S = 0.150
@@ -45,28 +45,94 @@ def _odd(w: int) -> int:
     return max(1, w | 1)
 
 
-def detect_r_peaks_energy(x, fs: float) -> np.ndarray:
-    """Energy-based detector with adaptive threshold, 200 ms refractory."""
-    x = np.asarray(x, dtype=np.float64)
-    if len(x) < 5 * fs:
-        raise ValueError(f"need at least 5 s of signal, got {len(x) / fs:.1f} s")
-    d = np.diff(x, prepend=x[0])
-    feat = moving_average(d * d, _odd(int(round(INTEG_WINDOW_S * fs))))
-    min_dist = int(round(REFRACTORY_S * fs))
-    raw = adaptive_scan(np.ascontiguousarray(feat), min_dist, int(round(2.0 * fs)),
-                        int(round(SEARCHBACK_S * fs)))
-    return _refine(x, raw, fs, min_dist)
+def moving_average(x, w):
+    """Centered mean over ``w`` samples; the window shrinks at the edges."""
+    kernel = np.ones(w, dtype=np.float64)
+    sums = np.convolve(x, kernel, mode="same")
+    counts = np.convolve(np.ones(len(x)), kernel, mode="same")
+    return sums / counts
 
 
-def _refine(x, raw, fs, min_dist) -> np.ndarray:
-    """Snap each candidate to the strongest squared sample nearby."""
-    half = int(round(0.100 * fs))
-    sq = x * x
+def adaptive_scan(feat, min_dist, init_len, searchback):
+    """Adaptive-threshold scan for local maxima of a detection feature.
+
+    Running signal/noise peak estimates in the style of classic QRS
+    detectors; everything is relative to the feature amplitude so the
+    scan is invariant to positive rescaling of the input signal. The
+    signal-peak estimate is seeded from the strongest value in the
+    initialization window so that small bumps before the first strong
+    peak never fire the detector.
+
+    If no peak is accepted for ``searchback`` samples, the strongest
+    sub-threshold local maximum since the last accepted peak is taken
+    at half threshold; this recovers low-amplitude beats without
+    lowering the threshold for the whole record.
+    """
+    n = feat.shape[0]
+    out = np.empty(n, dtype=np.int64)
+    m = 0
+    lim = min(init_len, n)
+    fmax = 0.0
+    fsum = 0.0
+    for j in range(lim):
+        v = feat[j]
+        fsum += v
+        if v > fmax:
+            fmax = v
+    if fmax <= 0.0:
+        # flat or empty feature: nothing can ever cross a positive threshold
+        return out[:m]
+    spk = fmax
+    npk = 0.5 * fsum / lim
+    thr = npk + 0.25 * (spk - npk)
+    last = 0
+    best_v = 0.0
+    best_i = -1
+    for i in range(1, n - 1):
+        if feat[i] >= feat[i - 1] and feat[i] > feat[i + 1]:
+            v = feat[i]
+            if v > thr:
+                # peaks inside the refractory window belong to the same
+                # beat: neither signal nor noise, so they leave the
+                # running estimates untouched
+                if m == 0 or i - last >= min_dist:
+                    spk = 0.125 * v + 0.875 * spk
+                    out[m] = i
+                    m += 1
+                    last = i
+                    best_v = 0.0
+                    best_i = -1
+            else:
+                npk = 0.125 * v + 0.875 * npk
+                if v > best_v and i - last >= min_dist:
+                    best_v = v
+                    best_i = i
+            thr = npk + 0.25 * (spk - npk)
+        if i - last > searchback and best_i > 0 and best_v > 0.5 * thr:
+            spk = 0.25 * best_v + 0.75 * spk
+            out[m] = best_i
+            m += 1
+            last = best_i
+            best_v = 0.0
+            best_i = -1
+            thr = npk + 0.25 * (spk - npk)
+    return out[:m]
+
+
+def _scan(feat, fs: float) -> np.ndarray:
+    """Candidate peaks of ``feat``: 200 ms refractory, 2 s initialization."""
+    return adaptive_scan(feat, int(round(REFRACTORY_S * fs)), int(round(2.0 * fs)),
+                         int(round(SEARCHBACK_S * fs)))
+
+
+def _refine(score, raw, half: int, min_dist: int) -> np.ndarray:
+    """Snap each candidate to the largest ``score`` within ``half`` samples,
+    then keep the stronger of any two refined peaks closer than ``min_dist``."""
     refined = []
     for p in raw:
         lo = max(0, p - half)
-        hi = min(len(x), p + half + 1)
-        refined.append(lo + int(np.argmax(sq[lo:hi])))
+        hi = min(len(score), p + half + 1)
+        refined.append(lo + int(np.argmax(score[lo:hi])))
     refined = np.array(sorted(set(refined)), dtype=np.int64)
     if len(refined) < 2:
         return refined
@@ -74,19 +140,30 @@ def _refine(x, raw, fs, min_dist) -> np.ndarray:
     for i in range(1, len(refined)):
         if refined[i] - refined[keep[-1]] >= min_dist:
             keep.append(i)
-        elif sq[refined[i]] > sq[refined[keep[-1]]]:
+        elif score[refined[i]] > score[refined[keep[-1]]]:
             keep[-1] = i
     return refined[keep]
 
 
-def detect_r_peaks_matched(x, fs: float) -> MatchedResult:
+def detect_r_peaks_energy(x, fs: float) -> np.ndarray:
+    """Energy-based detector with adaptive threshold, 200 ms refractory."""
+    x = np.asarray(x, dtype=np.float64)
+    if len(x) < 5 * fs:
+        raise ValueError(f"need at least 5 s of signal, got {len(x) / fs:.1f} s")
+    d = np.diff(x, prepend=x[0])
+    feat = moving_average(d * d, _odd(int(round(INTEG_WINDOW_S * fs))))
+    return _refine(x * x, _scan(feat, fs), int(round(0.100 * fs)), int(round(REFRACTORY_S * fs)))
+
+
+def detect_r_peaks_matched(x, fs: float, first) -> MatchedResult:
     """Correlation against a QRS kernel averaged from first-pass detections.
 
-    Falls back to the energy detections (degraded=True) when fewer than
-    three first-pass beats are available to estimate a kernel.
+    ``first`` holds the energy detector's R peaks on ``x``. They are
+    returned as they are (degraded=True) when fewer than three of them
+    are available to estimate a kernel.
     """
     x = np.asarray(x, dtype=np.float64)
-    first = detect_r_peaks_energy(x, fs)
+    first = np.asarray(first, dtype=np.int64)
     half = int(round(KERNEL_HALF_S * fs))
     usable = first[(first >= half) & (first < len(x) - half)]
     if len(usable) < 3:
@@ -98,39 +175,28 @@ def detect_r_peaks_matched(x, fs: float) -> MatchedResult:
         return MatchedResult(first, True)
     corr = np.correlate(x, kernel / norm, mode="same")
     feat = np.clip(corr, 0.0, None) ** 2
-    min_dist = int(round(REFRACTORY_S * fs))
-    raw = adaptive_scan(np.ascontiguousarray(feat), min_dist, int(round(2.0 * fs)),
-                        int(round(SEARCHBACK_S * fs)))
     # refine on the correlation itself so this detector stays independent
-    refined = []
-    for p in raw:
-        lo = max(0, p - half)
-        hi = min(len(x), p + half + 1)
-        refined.append(lo + int(np.argmax(corr[lo:hi])))
-    refined = np.array(sorted(set(refined)), dtype=np.int64)
-    if len(refined) >= 2:
-        keep = [0]
-        for i in range(1, len(refined)):
-            if refined[i] - refined[keep[-1]] >= min_dist:
-                keep.append(i)
-            elif corr[refined[i]] > corr[refined[keep[-1]]]:
-                keep[-1] = i
-        refined = refined[keep]
+    refined = _refine(corr, _scan(feat, fs), half, int(round(REFRACTORY_S * fs)))
     return MatchedResult(refined, False)
+
+
+def _matched_mask(det_a, det_b, tol: float) -> np.ndarray:
+    """Boolean mask over det_a marking detections matched in det_b within
+    ``tol`` samples (greedy, one-to-one, in time order)."""
+    mask = np.zeros(len(det_a), dtype=bool)
+    j = 0
+    for i, p in enumerate(det_a):
+        while j < len(det_b) and det_b[j] < p - tol:
+            j += 1
+        if j < len(det_b) and abs(det_b[j] - p) <= tol:
+            mask[i] = True
+            j += 1
+    return mask
 
 
 def match_detections(det_a, det_b, fs: float, tol_ms: float = 150.0) -> int:
     """Number of detections in det_a matched within tol_ms in det_b (greedy)."""
-    tol = tol_ms / 1000.0 * fs
-    m = 0
-    j = 0
-    for p in det_a:
-        while j < len(det_b) and det_b[j] < p - tol:
-            j += 1
-        if j < len(det_b) and abs(det_b[j] - p) <= tol:
-            m += 1
-            j += 1
-    return m
+    return int(_matched_mask(det_a, det_b, tol_ms / 1000.0 * fs).sum())
 
 
 def segment_fiducials(x, fs: float, r_peaks) -> BeatMap:

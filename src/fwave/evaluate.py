@@ -179,11 +179,11 @@ def _grow_tree(x, y, depth, max_depth):
     uniq = np.unique(xs)
     if len(uniq) < 2:
         return float(np.mean(y))
-    thresholds = (uniq[:-1] + uniq[1:]) / 2.0
-    # each threshold's left side is a prefix of the sorted rows: row 0
-    # of n and k holds the left sizes and AF counts, row 1 the right
+    # the split after uniq[i] puts every row <= uniq[i] on the left, a
+    # prefix of the sorted rows: row 0 of n and k holds the left sizes
+    # and AF counts, row 1 the right
     total = len(ys)
-    nl = np.searchsorted(xs, thresholds, side="right")
+    nl = np.searchsorted(xs, uniq[:-1], side="right")
     af_left = np.concatenate(([0], np.cumsum(ys)))[nl]
     n = np.array([nl, total - nl])
     k = np.array([af_left, ys.sum() - af_left])
@@ -194,9 +194,13 @@ def _grow_tree(x, y, depth, max_depth):
     for i, score in enumerate(scores.tolist()):
         if best is None or score < best - 1e-15:
             best, best_i = score, i
+    lo, hi = uniq[best_i], uniq[best_i + 1]
+    thr = (lo + hi) / 2.0
+    if not thr < hi:  # the midpoint of two adjacent floats rounded up
+        thr = lo
     n_left = nl[best_i]
     return (
-        float(thresholds[best_i]),
+        float(thr),
         _grow_tree(xs[:n_left], ys[:n_left], depth + 1, max_depth),
         _grow_tree(xs[n_left:], ys[n_left:], depth + 1, max_depth),
     )

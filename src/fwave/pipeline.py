@@ -31,7 +31,8 @@ import numpy as np
 
 from . import dataio, spectral, synth
 from .extract import DEFAULT_MIN_BEATS, METHODS, extract as run_extractor
-from .beats import detect_r_peaks_energy, segment_fiducials
+# detect_r_peaks_energy is not called here; perfbench/tracing.py wraps it under this name
+from .beats import detect_r_peaks_energy, segment_fiducials  # noqa: F401
 from .errors import (
     ConfigError,
     ExtractionError,
@@ -91,6 +92,8 @@ class PipelineConfig:
                 raise ConfigError(f"voting set not a subset of extractors: {bad}")
         if not 0 < self.window_s:
             raise ConfigError("window_s must be positive")
+        if self.bsqi_segment_s < 5:
+            raise ConfigError("bsqi_segment_s must be at least 5 s")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if self.record_format not in ("csv", "binary"):
@@ -248,6 +251,9 @@ def _window_jobs(cfg: PipelineConfig):
 def _process_window(args):
     """Per-window work unit: quality gate, beats, all extractors.
 
+    The R peaks are the energy detections the bSQI gate computed; the
+    detector runs once per window.
+
     Returns either a result dict or an exclusion dict. Synth records are
     filtered here (whole record = one window); real-recording windows
     arrive prefiltered.
@@ -262,10 +268,9 @@ def _process_window(args):
         if not report.all_pass():
             worst = min(b for _, _, b in report.segment_bsqi)
             return {"window_id": wid, "excluded": f"bsqi_below_threshold (min {worst:.3f})"}
-        r_peaks = detect_r_peaks_energy(x, fs)
-        if len(r_peaks) < 2:
+        if len(report.r_peaks) < 2:
             return {"window_id": wid, "excluded": "too_few_beats"}
-        beats = segment_fiducials(x, fs, r_peaks)
+        beats = segment_fiducials(x, fs, report.r_peaks)
         residuals = {}
         for method in cfg.extractors:
             residuals[method] = run_extractor(method, x, beats, min_beats=cfg.min_beats).residual

@@ -3,7 +3,9 @@
 Bandpass (default 0.67-100 Hz, upper edge clamped below Nyquist) and a
 power-line notch, both applied forward-backward for zero net phase.
 Quality is gated per segment with bSQI, the agreement ratio between two
-independent beat detectors.
+independent beat detectors. The energy detections that bSQI is computed
+from are the window's R peaks: ``compute_bsqi`` returns them with the
+report, so nothing downstream runs a detector again.
 """
 
 from dataclasses import dataclass, field
@@ -11,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import signal as sig
 
-from .beats import detect_r_peaks_energy, detect_r_peaks_matched, match_detections
+from .beats import _matched_mask, detect_r_peaks_energy, detect_r_peaks_matched, match_detections
 from .errors import ConfigError, SignalTooShortError
 
 
@@ -27,15 +29,6 @@ class FilterSpec:
         # a passband edge at Nyquist is unrealizable; clamp to 0.45*fs
         return min(self.band_high, 0.45 * fs)
 
-    def to_dict(self) -> dict:
-        return {
-            "band_low": self.band_low,
-            "band_high": self.band_high,
-            "notch_freq": self.notch_freq,
-            "notch_q": self.notch_q,
-            "notch_enabled": self.notch_enabled,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "FilterSpec":
         return cls(**d)
@@ -46,6 +39,7 @@ class QualityReport:
     segment_bsqi: list  # of (start_sample, end_sample, bsqi)
     threshold: float = 0.8
     pass_mask: list = field(default_factory=list)
+    r_peaks: np.ndarray | None = None  # the energy detections the gate used
 
     def all_pass(self) -> bool:
         return bool(self.pass_mask) and all(self.pass_mask)
@@ -96,11 +90,14 @@ def prefilter(x, fs: float, spec: FilterSpec | None = None) -> np.ndarray:
     return y
 
 
+def _bsqi(m: int, na: int, nb: int) -> float:
+    denom = na + nb - m
+    return m / denom if denom > 0 else 0.0
+
+
 def bsqi_from_detections(det_a, det_b, fs: float, match_tol_ms: float = 150.0) -> float:
     """Agreement ratio m / (n_a + n_b - m) with m matches within the tolerance."""
-    m = match_detections(det_a, det_b, fs, match_tol_ms)
-    denom = len(det_a) + len(det_b) - m
-    return m / denom if denom > 0 else 0.0
+    return _bsqi(match_detections(det_a, det_b, fs, match_tol_ms), len(det_a), len(det_b))
 
 
 def compute_bsqi(
@@ -114,17 +111,16 @@ def compute_bsqi(
 
     Detectors run on the whole signal; detections are then attributed to
     segments, so segment boundaries do not create detector edge effects.
-    A segment with no detections at all scores 0.
+    A segment with no detections at all scores 0. The energy detections
+    are returned as ``r_peaks``.
     """
     if segment_s < 5:
         raise ConfigError("bSQI segment length must be at least 5 s")
     x = np.asarray(x, dtype=np.float64)
     det_a = detect_r_peaks_energy(x, fs)
-    det_b = detect_r_peaks_matched(x, fs).indices
-    tol = match_tol_ms / 1000.0 * fs
-
+    det_b = detect_r_peaks_matched(x, fs, det_a).indices
     # pair up detections globally (greedy, nearest-in-time)
-    matched_a = _matched_mask(det_a, det_b, tol)
+    matched_a = _matched_mask(det_a, det_b, match_tol_ms / 1000.0 * fs)
 
     seg_n = int(round(segment_s * fs))
     n = len(x)
@@ -140,21 +136,10 @@ def compute_bsqi(
         na = int(np.sum((det_a >= start) & (det_a < end)))
         nb = int(np.sum((det_b >= start) & (det_b < end)))
         m = int(np.sum(matched_a & (det_a >= start) & (det_a < end)))
-        denom = na + nb - m
-        bsqi = m / denom if denom > 0 else 0.0
+        bsqi = _bsqi(m, na, nb)
         segments.append((start, end, bsqi))
         mask.append(bsqi >= threshold)
-    return QualityReport(segment_bsqi=segments, threshold=threshold, pass_mask=mask)
+    return QualityReport(
+        segment_bsqi=segments, threshold=threshold, pass_mask=mask, r_peaks=det_a
+    )
 
-
-def _matched_mask(det_a, det_b, tol: float) -> np.ndarray:
-    """Boolean mask over det_a marking detections matched in det_b."""
-    mask = np.zeros(len(det_a), dtype=bool)
-    j = 0
-    for i, p in enumerate(det_a):
-        while j < len(det_b) and det_b[j] < p - tol:
-            j += 1
-        if j < len(det_b) and abs(det_b[j] - p) <= tol:
-            mask[i] = True
-            j += 1
-    return mask

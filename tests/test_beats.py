@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 
+import fwave.beats
+import fwave.pipeline
+import fwave.preprocess
 from fwave.beats import (
     detect_r_peaks_energy,
     detect_r_peaks_matched,
     match_detections,
     segment_fiducials,
 )
-from fwave.preprocess import prefilter
+from fwave.pipeline import PipelineConfig, _process_window
+from fwave.preprocess import compute_bsqi, prefilter
 
 from conftest import gauss_train
 
@@ -65,7 +69,7 @@ class TestMatchedDetector:
     def test_agrees_with_energy_on_clean_signal(self, sinus_clean, sinus_clean_filtered):
         fs = sinus_clean.fs
         a = detect_r_peaks_energy(sinus_clean_filtered, fs)
-        res = detect_r_peaks_matched(sinus_clean_filtered, fs)
+        res = detect_r_peaks_matched(sinus_clean_filtered, fs, a)
         assert not res.degraded
         m = match_detections(a, res.indices, fs, tol_ms=150)
         assert m / max(len(a), len(res.indices)) >= 0.95
@@ -74,7 +78,7 @@ class TestMatchedDetector:
         rng = np.random.default_rng(4)
         x = rng.standard_normal(int(60 * FS))
         a = detect_r_peaks_energy(x, FS)
-        b = detect_r_peaks_matched(x, FS).indices
+        b = detect_r_peaks_matched(x, FS, a).indices
         m = match_detections(a, b, FS, tol_ms=150)
         denom = len(a) + len(b) - m
         bsqi = m / denom if denom else 0.0
@@ -83,9 +87,31 @@ class TestMatchedDetector:
     def test_few_beats_falls_back_degraded(self):
         # two bumps in 10 s: not enough first-pass beats for a kernel
         x = gauss_train(FS, int(10 * FS), [600, 1400])
-        res = detect_r_peaks_matched(x, FS)
+        first = detect_r_peaks_energy(x, FS)
+        res = detect_r_peaks_matched(x, FS, first)
         assert res.degraded
-        assert np.array_equal(res.indices, detect_r_peaks_energy(x, FS))
+        assert np.array_equal(res.indices, first)
+
+
+class TestDetectOnce:
+    def test_one_energy_call_per_window(self, af_record, monkeypatch):
+        calls = []
+
+        def counted(x, fs):
+            calls.append(1)
+            return detect_r_peaks_energy(x, fs)
+
+        for module in (fwave.pipeline, fwave.preprocess, fwave.beats):
+            monkeypatch.setattr(module, "detect_r_peaks_energy", counted)
+        out = _process_window(
+            ("w0", af_record.ecg, af_record.fs, "AF", PipelineConfig(), False)
+        )
+        assert "residuals" in out, out
+        assert len(calls) == 1
+
+    def test_bsqi_returns_the_energy_detections(self, af_record_filtered, af_record):
+        x, fs = af_record_filtered, af_record.fs
+        assert np.array_equal(compute_bsqi(x, fs).r_peaks, detect_r_peaks_energy(x, fs))
 
 
 class TestMatchDetections:

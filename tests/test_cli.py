@@ -273,6 +273,11 @@ class TestExitCodes:
         cfg = _config(tmp_path, voting_set=["TS_B", "TS_X", "TS_SU"])
         assert main(["run", "--config", cfg]) == 2
 
+    def test_short_bsqi_segment_is_2(self, tmp_path, capsys):
+        cfg = _config(tmp_path, bsqi_segment_s=2, synth={"n_af": 3, "n_sinus": 3})
+        assert main(["run", "--config", cfg]) == 2
+        _one_line_error(capsys, "bsqi_segment_s", "5 s")
+
     def test_impossible_threshold_excludes_everything(self, tmp_path, capsys):
         cfg = _config(tmp_path, bsqi_threshold=1.01,
                       synth={"n_af": 3, "n_sinus": 3})
@@ -300,6 +305,23 @@ class TestEvalOnFeatureTable:
         metrics = json.load(open(tmp_path / "o" / "metrics.json"))
         assert metrics["vote"]["auroc"] == pytest.approx(1.0)
         assert metrics["vote"]["f1"] == pytest.approx(1.0)
+
+    def test_full_precision_features_give_no_nan(self, tmp_path):
+        # 12.0 and the float just below it: their midpoint rounds onto 12.0
+        lo, hi = repr(float(np.nextafter(12.0, 0))), repr(12.0)
+        rows = ["window_id,method,daf_hz,label,split"]
+        for i in range(12):
+            rows.append(f"af{i:02d},vote,{hi},AF,train")
+            rows.append(f"ns{i:02d},vote,{lo},non-AF,train")
+        for i in range(3):
+            rows.append(f"taf{i},vote,13.0,AF,test")
+            rows.append(f"tns{i},vote,5.0,non-AF,test")
+        feat = tmp_path / "features.csv"
+        feat.write_text("\n".join(rows) + "\n")
+        assert main(["eval", "--features", str(feat), "--out", str(tmp_path / "o")]) == 0
+        text = (tmp_path / "o" / "metrics.json").read_text()
+        assert "NaN" not in text, text
+        assert json.loads(text)["vote"]["auroc"] == pytest.approx(1.0)
 
     @pytest.mark.parametrize("data, needle", [
         (b"window_id,method,label,split\nw0,vote,AF,train\n", "daf_hz"),

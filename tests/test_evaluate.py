@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fwave.evaluate
@@ -229,14 +229,23 @@ class TestRandomForest:
     @example((np.array([390, 434, 443, 410, 355, 488, 286, 279]) * WELCH_BIN_HZ,
               np.array([0, 0, 0, 1, 1, 1, 1, 0]), 1))
     @settings(max_examples=200, deadline=None)
-    @pytest.mark.filterwarnings("ignore:Mean of empty slice", "ignore:invalid value")
     def test_grow_tree_matches_reference(self, case):
         x, y, max_depth = case
-        # repr, not ==: a midpoint that rounds onto the upper of two adjacent
-        # floats leaves one side empty, and both growers make that leaf nan
-        assert repr(fwave.evaluate._grow_tree(x, y, 0, max_depth)) == repr(
-            _grow_tree_reference(x, y, 0, max_depth)
+        # the one exclusion: the reference splits two adjacent floats at a
+        # midpoint that rounds onto the upper one and grows a nan leaf,
+        # where _grow_tree splits at the lower one (see the test below)
+        u = np.unique(x)
+        assume(np.all((u[:-1] + u[1:]) / 2.0 < u[1:]))
+        assert fwave.evaluate._grow_tree(x, y, 0, max_depth) == _grow_tree_reference(
+            x, y, 0, max_depth
         )
+
+    def test_adjacent_floats_split_without_nan(self):
+        lo = np.nextafter(12.0, 0)
+        assert (lo + 12.0) / 2.0 == 12.0  # the midpoint rounds onto the upper value
+        x = np.array([12.0, lo, 12.0, lo])
+        y = np.array([1, 0, 1, 0])
+        assert fwave.evaluate._grow_tree(x, y, 0, 4) == (lo, 0.0, 1.0)
 
     def test_predict_proba_matches_per_value_walk(self):
         rng = np.random.default_rng(6)

@@ -1,117 +1,64 @@
-"""The numba-jitted kernels and the pure-numpy fallback must agree.
+"""The detector's sample-level kernels in ``fwave.beats``.
 
-numba is optional: without it, ``_kernels`` falls back to the numpy
-moving average and the plain-Python scan. The JIT path compiles
-``_moving_average_loop`` and ``_adaptive_scan_loop`` as they stand, so
-comparing the loop moving average with the numpy one in-process checks
-the same identity on machines where numba does not import.
+``_moving_average_loop`` is the running-sum moving average written out
+sample by sample; it is the oracle for the convolution in
+``beats.moving_average``.
 """
-
-import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 
-from fwave import _kernels, beats
+from fwave import beats
 from fwave.beats import detect_r_peaks_energy
 from fwave.preprocess import prefilter
 from fwave.synth import SynthConfig, generate
 
 
-def _numba_imports():
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-HAVE_NUMBA = _numba_imports()
-
-SELECTION_CHILD = """
-import json
-from fwave import _kernels
-
-print(json.dumps({
-    "using_numba": _kernels.USING_NUMBA,
-    "ma_fallback": _kernels.moving_average is _kernels._moving_average_numpy,
-    "scan_fallback": _kernels.adaptive_scan is _kernels._adaptive_scan_loop,
-}))
-"""
-
-DETECT_CHILD = """
-import json, sys
-import numpy as np
-from fwave import _kernels
-from fwave.beats import detect_r_peaks_energy
-
-x = np.load(sys.argv[1])
-det = detect_r_peaks_energy(x, 200.0)
-print(json.dumps({"using_numba": _kernels.USING_NUMBA, "det": det.tolist()}))
-"""
-
-
-def _run_child(code, args=(), disable_numba=None):
-    """Run ``code`` in a fresh interpreter; ``disable_numba=None`` unsets
-    FWAVE_DISABLE_NUMBA so the child sees the default kernel selection."""
-    env = dict(os.environ)
-    if disable_numba is None:
-        env.pop("FWAVE_DISABLE_NUMBA", None)
-    else:
-        env["FWAVE_DISABLE_NUMBA"] = "1" if disable_numba else "0"
-    out = subprocess.run(
-        [sys.executable, "-c", code, *map(str, args)],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    return json.loads(out.stdout)
-
-
-def test_numba_enabled_by_default():
-    default = _run_child(SELECTION_CHILD)
-    assert default["using_numba"] is HAVE_NUMBA
-    assert default["ma_fallback"] is (not HAVE_NUMBA)
-    assert default["scan_fallback"] is (not HAVE_NUMBA)
-    disabled = _run_child(SELECTION_CHILD, disable_numba=True)
-    assert disabled["using_numba"] is False
+def _moving_average_loop(x, w):
+    n = x.shape[0]
+    out = np.empty(n, dtype=np.float64)
+    half = w // 2
+    acc = 0.0
+    # prime the window centered on sample 0
+    hi = min(half + 1, n)
+    for j in range(hi):
+        acc += x[j]
+    cnt = hi
+    for i in range(n):
+        out[i] = acc / cnt
+        new = i + half + 1
+        if new < n:
+            acc += x[new]
+            cnt += 1
+        old = i - half
+        if old >= 0:
+            acc -= x[old]
+            cnt -= 1
+    return out
 
 
 def test_moving_average_paths_agree():
     rng = np.random.default_rng(0)
     x = rng.standard_normal(5000)
     for w in (1, 3, 31, 301):
-        a = _kernels._moving_average_loop(x, w)
-        b = _kernels._moving_average_numpy(x, w)
+        a = _moving_average_loop(x, w)
+        b = beats.moving_average(x, w)
         np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
 
 
 def test_moving_average_constant_preserved():
     x = np.full(1000, 2.5)
-    np.testing.assert_allclose(_kernels.moving_average(x, 31), 2.5)
+    np.testing.assert_allclose(beats.moving_average(x, 31), 2.5)
 
 
 def test_adaptive_scan_flat_input_empty():
-    assert len(_kernels.adaptive_scan(np.zeros(1000), 40, 400, 240)) == 0
+    assert len(beats.adaptive_scan(np.zeros(1000), 40, 400, 240)) == 0
 
 
-def test_detector_identical_across_paths(tmp_path, monkeypatch):
+def test_detector_identical_across_paths(monkeypatch):
     truth = generate(SynthConfig(rhythm="AF", fwave_f0=6.5, rng_seed=42))
     x = prefilter(truth.ecg, truth.fs)
-    here = detect_r_peaks_energy(x, truth.fs)
-
-    # the moving average the JIT compiles vs the fallback's, no numba needed
-    monkeypatch.setattr(beats, "moving_average", _kernels._moving_average_loop)
-    det_loop = detect_r_peaks_energy(x, truth.fs)
-    monkeypatch.setattr(beats, "moving_average", _kernels._moving_average_numpy)
     det_numpy = detect_r_peaks_energy(x, truth.fs)
+    monkeypatch.setattr(beats, "moving_average", _moving_average_loop)
+    det_loop = detect_r_peaks_energy(x, truth.fs)
+    assert len(det_numpy) > 0
     assert np.array_equal(det_loop, det_numpy)
-
-    npy = tmp_path / "x.npy"
-    np.save(npy, x)
-    with_numba = _run_child(DETECT_CHILD, [npy], disable_numba=False)
-    without = _run_child(DETECT_CHILD, [npy], disable_numba=True)
-    assert with_numba["using_numba"] is HAVE_NUMBA
-    assert without["using_numba"] is False
-    assert with_numba["det"] == here.tolist()
-    assert without["det"] == here.tolist()
