@@ -31,9 +31,9 @@ from .evaluate import (
     train_rf,
 )
 from .extract import (
+    BeatMatrix,
     FWaveSignal,
-    TemplateModel,
-    build_template,
+    beat_matrix,
     extract,
     ts_basic,
     ts_pca,

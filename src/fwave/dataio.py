@@ -268,7 +268,7 @@ def sample_nonaf_windows(
     rec: EcgRecording,
     ann: RhythmAnnotation,
     count: int,
-    rng_seed: int,
+    rng_seed: int | np.random.SeedSequence,
     window_s: float = 60.0,
 ):
     """Up to ``count`` non-overlapping windows from non-AF regions.

@@ -12,9 +12,13 @@ cancellation left behind:
              directions of the beat matrix; the residual keeps what the
              low-rank ventricular subspace cannot represent.
 
-Beat spans are clipped at the following beat so spans never overlap;
-beats whose full template span does not fit inside the signal are
-skipped. Samples outside every span pass through unchanged.
+One ``BeatMatrix`` per window (``beat_matrix``) holds what the four
+share: the beats whose full template span fits inside the signal, their
+R-aligned (beats x span) stack, its mean template and each beat's span,
+clipped at the following beat's span start so spans never overlap.
+Every extractor takes that matrix and runs the same subtraction loop
+over those spans; beats too close to the edges for a full span, and
+samples outside every span, pass through unchanged.
 """
 
 from dataclasses import dataclass, field
@@ -34,10 +38,14 @@ DEFAULT_MIN_BEATS = 8
 
 
 @dataclass
-class TemplateModel:
-    template: np.ndarray  # one R-aligned cardiac cycle
-    n_beats: int
-    alignment_offset: int  # samples from template start to R
+class BeatMatrix:
+    x: np.ndarray  # the window, float64
+    beats: BeatMap
+    kept: np.ndarray  # positions in beats.r_peaks of the full-span beats
+    stack: np.ndarray  # (kept beats x span) R-aligned beat windows
+    template: np.ndarray  # stack mean: one R-aligned cardiac cycle
+    starts: np.ndarray  # per kept beat: span start, R - pre
+    ends: np.ndarray  # per kept beat: span end, clipped at the next beat's start
 
 
 @dataclass
@@ -50,93 +58,62 @@ class FWaveSignal:
     flags: list = field(default_factory=list)
 
 
-def _span_samples(fs: float):
-    return int(round(SPAN_PRE_S * fs)), int(round(SPAN_POST_S * fs))
+def beat_matrix(x, beats: BeatMap, min_beats: int = DEFAULT_MIN_BEATS) -> BeatMatrix:
+    """Stack the R-aligned windows of every full-span beat and average them.
 
-
-def _full_span_beats(n: int, r_peaks, pre: int, post: int) -> np.ndarray:
-    r = np.asarray(r_peaks)
-    return r[(r - pre >= 0) & (r + post + 1 <= n)]
-
-
-def _clipped_spans(n: int, r_peaks, pre: int, post: int):
-    """Per-beat (start, end) spans, clipped so consecutive spans never overlap.
-
-    Beats whose full template span falls outside the signal get an empty
-    span (skipped downstream), mirroring the template-build rule; edge
-    beats would otherwise mix boundary transients into the residual.
-    """
-    spans = []
-    r = np.asarray(r_peaks)
-    for i, rp in enumerate(r):
-        if rp - pre < 0 or rp + post + 1 > n:
-            spans.append((int(rp), int(rp)))
-            continue
-        a = rp - pre
-        b = rp + post + 1  # half-open span covering R-pre .. R+post inclusive
-        if i + 1 < len(r):
-            b = min(b, r[i + 1] - pre)
-        spans.append((int(a), int(b)))
-    return spans
-
-
-def build_template(x, beats: BeatMap, min_beats: int = DEFAULT_MIN_BEATS) -> TemplateModel:
-    """Element-wise mean of R-aligned beat windows over the template span.
-
-    Beats whose window would exceed the signal bounds are skipped and do
-    not count toward min_beats.
+    Beats whose window would exceed the signal bounds are left out and
+    do not count toward min_beats. A non-finite stack entry (or an
+    overflowing mean) makes the template non-finite and raises.
     """
     x = np.asarray(x, dtype=np.float64)
-    pre, post = _span_samples(beats.fs)
-    usable = _full_span_beats(len(x), beats.r_peaks, pre, post)
-    if len(usable) < min_beats:
-        raise ExtractionError(
-            f"only {len(usable)} usable beats, need at least {min_beats}"
-        )
-    stack = np.stack([x[r - pre : r + post + 1] for r in usable])
+    pre, post = int(round(SPAN_PRE_S * beats.fs)), int(round(SPAN_POST_S * beats.fs))
+    r = np.asarray(beats.r_peaks, dtype=np.int64)
+    kept = np.flatnonzero((r - pre >= 0) & (r + post + 1 <= len(x)))
+    if len(kept) < min_beats:
+        raise ExtractionError(f"only {len(kept)} usable beats, need at least {min_beats}")
+    starts = r[kept] - pre
+    stack = x[starts[:, None] + np.arange(pre + post + 1)]
     template = stack.mean(axis=0)
     if not np.all(np.isfinite(template)):
         raise ExtractionError("template contains non-finite values")
-    return TemplateModel(template=template, n_beats=len(usable), alignment_offset=pre)
+    # half-open spans R-pre .. R+post inclusive, cut where the next beat's span starts
+    ends = starts + pre + post + 1
+    inner = kept + 1 < len(r)
+    ends[inner] = np.minimum(ends[inner], r[kept[inner] + 1] - pre)
+    return BeatMatrix(x, beats, kept, stack, template, starts, ends)
 
 
-def _subtract(x, beats, gain_fn, method, min_beats):
-    """Shared subtraction loop.
+def _subtract(bm: BeatMatrix, method, gain=None, rows=None, flags=None):
+    """Shared subtraction loop over the kept beats' clipped spans.
 
-    gain_fn maps (beat slice, template slice, absolute span, r_peak,
-    flags, gain_log) to a per-sample gain profile or scalar, appending
-    whatever it wants recorded per beat to gain_log.
+    Each span loses ``g * model``: the model is the template, or the
+    beat's own row of ``rows``; g is 1, or whatever
+    ``gain(xb, tb, start, index, flags, log)`` returns for the beat at
+    ``beats.r_peaks[index]``. gain appends what it wants recorded per
+    beat to ``log`` and any warning to ``flags``.
     """
-    x = np.asarray(x, dtype=np.float64)
-    model = build_template(x, beats, min_beats)
-    pre, post = _span_samples(beats.fs)
-    t = model.template
-    residual = x.copy()
-    spans, gain_log, flags = [], [], []
-    used = 0
-    for (a, b), r in zip(_clipped_spans(len(x), beats.r_peaks, pre, post), beats.r_peaks):
-        if b <= a:
-            continue
-        ts = t[a - (r - pre) : b - (r - pre)]
-        g = gain_fn(x[a:b], ts, (a, b), r, flags, gain_log)
-        residual[a:b] = x[a:b] - g * ts
+    flags = [] if flags is None else flags
+    residual = bm.x.copy()
+    spans, log = [], []
+    for j, (i, a, b) in enumerate(zip(bm.kept.tolist(), bm.starts.tolist(), bm.ends.tolist())):
+        xb = bm.x[a:b]
+        tb = (bm.template if rows is None else rows[j])[: b - a]
+        g = 1.0 if gain is None else gain(xb, tb, a, i, flags, log)
+        residual[a:b] = xb - g * tb
         spans.append((a, b))
-        used += 1
     return FWaveSignal(
         residual=residual,
         method=method,
-        beats_used=used,
-        per_beat_gains=np.array(gain_log) if gain_log else np.empty((0,)),
+        beats_used=len(spans),
+        per_beat_gains=np.array(log) if log else np.empty((0,)),
         spans=spans,
         flags=flags,
     )
 
 
-def ts_basic(x, beats: BeatMap, min_beats: int = DEFAULT_MIN_BEATS) -> FWaveSignal:
+def ts_basic(bm: BeatMatrix) -> FWaveSignal:
     """Subtract the R-aligned average template at every beat (gain 1)."""
-    return _subtract(
-        x, beats, lambda xb, tb, span, r, flags, log: 1.0, "TS_B", min_beats
-    )
+    return _subtract(bm, "TS_B")
 
 
 def _ls_gain(xb, tb):
@@ -147,36 +124,34 @@ def _ls_gain(xb, tb):
     return min(max(g, GAIN_CLAMP[0]), GAIN_CLAMP[1])
 
 
-def ts_scaled(x, beats: BeatMap, min_beats: int = DEFAULT_MIN_BEATS) -> FWaveSignal:
+def ts_scaled(bm: BeatMatrix) -> FWaveSignal:
     """One least-squares gain per beat: a = <x, t> / <t, t>, clamped."""
-    model = build_template(np.asarray(x, dtype=np.float64), beats, min_beats)
-    if float(np.dot(model.template, model.template)) == 0.0:
+    if float(np.dot(bm.template, bm.template)) == 0.0:
         raise ExtractionError("flat template: cannot fit a gain")
 
-    def gain(xb, tb, span, r, flags, log):
+    def gain(xb, tb, a, i, flags, log):
         g = _ls_gain(xb, tb)
         if g is None:
-            flags.append(f"flat template slice at beat {r}")
+            flags.append(f"flat template slice at beat {bm.beats.r_peaks[i]}")
             g = 0.0
         log.append(g)
         return g
 
-    return _subtract(x, beats, gain, "TS_CE", min_beats)
+    return _subtract(bm, "TS_CE", gain)
 
 
-def ts_segment_scaled(x, beats: BeatMap, min_beats: int = DEFAULT_MIN_BEATS) -> FWaveSignal:
+def ts_segment_scaled(bm: BeatMatrix) -> FWaveSignal:
     """Independent P / QRS / T least-squares gains with a 20 ms crossfade.
 
     The T-segment gain extends from qrs_off through the end of the span;
     a degenerate (flat) template sub-window gets gain 0 and a flag.
     """
-    fs = beats.fs
-    fade = int(round(CROSSFADE_S * fs))
-    fid = {int(r): f for r, f in zip(beats.r_peaks, beats.fiducials)}
+    fade = int(round(CROSSFADE_S * bm.beats.fs))
 
-    def gain(xb, tb, span, r, flags, log):
-        a, b = span
-        p_on, qrs_on, qrs_off, _ = fid[int(r)]
+    def gain(xb, tb, a, i, flags, log):
+        b = a + len(xb)
+        r = bm.beats.r_peaks[i]
+        p_on, qrs_on, qrs_off, _ = bm.beats.fiducials[i]
         # segment boundaries inside [a, b)
         b1 = int(np.clip(qrs_on, a, b))
         b2 = int(np.clip(qrs_off, a, b))
@@ -204,35 +179,17 @@ def ts_segment_scaled(x, beats: BeatMap, min_beats: int = DEFAULT_MIN_BEATS) -> 
         log.append(tuple(seg_gain))
         return g
 
-    return _subtract(x, beats, gain, "TS_SU", min_beats)
+    return _subtract(bm, "TS_SU", gain)
 
 
-def ts_pca(
-    x,
-    beats: BeatMap,
-    var_target: float = 0.95,
-    max_rank: int = 3,
-    min_beats: int = DEFAULT_MIN_BEATS,
-) -> FWaveSignal:
+def ts_pca(bm: BeatMatrix, var_target: float = 0.95, max_rank: int = 3) -> FWaveSignal:
     """Reconstruct each beat from the leading singular directions.
 
-    Full-span beat windows are stacked into a (beats x span) matrix; the
-    smallest rank whose cumulative squared-singular-value fraction
-    reaches var_target (capped at max_rank) defines the ventricular
-    subspace. Beats too close to the edges for a full span pass through
-    unchanged.
+    The smallest rank whose cumulative squared-singular-value fraction
+    of the beat stack reaches var_target (capped at max_rank) defines
+    the ventricular subspace.
     """
-    x = np.asarray(x, dtype=np.float64)
-    pre, post = _span_samples(beats.fs)
-    usable = _full_span_beats(len(x), beats.r_peaks, pre, post)
-    if len(usable) < min_beats:
-        raise ExtractionError(
-            f"only {len(usable)} usable beats, need at least {min_beats}"
-        )
-    mat = np.stack([x[r - pre : r + post + 1] for r in usable])
-    if not np.all(np.isfinite(mat)):
-        raise ExtractionError("beat matrix contains non-finite values")
-    u, s, vt = np.linalg.svd(mat, full_matrices=False)
+    u, s, vt = np.linalg.svd(bm.stack, full_matrices=False)
     energy = s * s
     total = float(energy.sum())
     if total == 0.0:
@@ -242,26 +199,7 @@ def ts_pca(
         k = int(np.searchsorted(frac, var_target - 1e-12) + 1)
     k = min(k, max_rank, len(s))
     recon = (u[:, :k] * s[:k]) @ vt[:k]
-
-    residual = x.copy()
-    spans = []
-    clipped = {int(r): span for span, r in
-               zip(_clipped_spans(len(x), beats.r_peaks, pre, post), beats.r_peaks)}
-    for row, r in zip(recon, usable):
-        a, b = clipped[int(r)]
-        if b <= a:
-            continue
-        lo = a - (r - pre)
-        residual[a:b] = x[a:b] - row[lo : lo + (b - a)]
-        spans.append((a, b))
-    return FWaveSignal(
-        residual=residual,
-        method="TS_PCA",
-        beats_used=len(usable),
-        per_beat_gains=np.empty((0,)),
-        spans=spans,
-        flags=[f"rank={k}"],
-    )
+    return _subtract(bm, "TS_PCA", rows=recon, flags=[f"rank={k}"])
 
 
 _EXTRACTORS = {
@@ -272,8 +210,8 @@ _EXTRACTORS = {
 }
 
 
-def extract(method: str, x, beats: BeatMap, **kwargs) -> FWaveSignal:
+def extract(method: str, bm: BeatMatrix) -> FWaveSignal:
     """Dispatch to one of the four extractors by method tag."""
     if method not in _EXTRACTORS:
         raise ExtractionError(f"unknown extraction method {method!r}")
-    return _EXTRACTORS[method](x, beats, **kwargs)
+    return _EXTRACTORS[method](bm)

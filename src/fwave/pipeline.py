@@ -23,14 +23,16 @@ NoUsableWindowsError (CLI exit code 3).
 """
 
 import json
+import numbers
 import os
+import types
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import dataio, spectral, synth
-from .extract import DEFAULT_MIN_BEATS, METHODS, extract as run_extractor
+from .extract import DEFAULT_MIN_BEATS, METHODS, beat_matrix, extract as run_extractor
 # detect_r_peaks_energy is not called here; perfbench/tracing.py wraps it under this name
 from .beats import detect_r_peaks_energy, segment_fiducials  # noqa: F401
 from .errors import (
@@ -59,6 +61,34 @@ REFERENCE_RESULTS = {
 }
 
 
+# JSON names of the declared field types, for config error messages
+_JSON_TYPES = {int: "integer", float: "number", str: "string", bool: "boolean",
+               list: "list", tuple: "list", dict: "object", FilterSpec: "object",
+               type(None): "null"}
+
+
+def _type_ok(value, tp) -> bool:
+    """isinstance against a declared field type; a bool is not a number,
+    and an integer is a float."""
+    if isinstance(tp, types.UnionType):
+        return any(_type_ok(value, t) for t in tp.__args__)
+    if tp in (int, float) and isinstance(value, bool):
+        return False
+    return isinstance(value, {int: numbers.Integral, float: numbers.Real}.get(tp, tp))
+
+
+def _check_types(obj, prefix="") -> None:
+    for name, f in obj.__dataclass_fields__.items():
+        value = getattr(obj, name)
+        if not _type_ok(value, f.type):
+            want = getattr(f.type, "__args__", (f.type,))
+            raise ConfigError(
+                f"config key {prefix}{name} must be "
+                f"{' or '.join(_JSON_TYPES[t] for t in want)}, "
+                f"not {_JSON_TYPES.get(type(value), type(value).__name__)}"
+            )
+
+
 @dataclass
 class PipelineConfig:
     out_dir: str = "fwave_out"
@@ -83,6 +113,8 @@ class PipelineConfig:
     record_format: str = "binary"
 
     def validate(self) -> None:
+        _check_types(self)
+        _check_types(self.filter, "filter.")
         for m in self.extractors:
             if m not in METHODS:
                 raise ConfigError(f"unknown extractor {m!r}")
@@ -96,6 +128,10 @@ class PipelineConfig:
             raise ConfigError("bsqi_segment_s must be at least 5 s")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if self.min_beats < 1:
+            raise ConfigError("min_beats must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.record_format not in ("csv", "binary"):
             raise ConfigError(f"unknown record format {self.record_format!r}")
         if self.synth is None and not self.recordings:
@@ -124,10 +160,13 @@ class PipelineConfig:
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "filter" in raw and isinstance(raw["filter"], dict):
+        if isinstance(raw.get("filter"), dict):
+            unknown = set(raw["filter"]) - set(FilterSpec.__dataclass_fields__)
+            if unknown:
+                raise ConfigError(f"unknown filter config keys: {sorted(unknown)}")
             raw["filter"] = FilterSpec.from_dict(raw["filter"])
         for key in ("extractors", "voting_set"):
-            if raw.get(key) is not None:
+            if isinstance(raw.get(key), list):
                 raw[key] = tuple(raw[key])
         cfg = cls(**raw)
         cfg.validate()
@@ -203,7 +242,9 @@ def _window_jobs(cfg: PipelineConfig):
             _require(rec_path, "synth")
             rec = dataio.load_recording(rec_path)
             jobs.append((entry["id"], rec.samples, rec.fs, entry["label"], False))
-    for i, item in enumerate(cfg.recordings):
+    # one child seed per recording, so equal layouts draw different non-AF slots
+    seeds = np.random.SeedSequence(cfg.seed).spawn(len(cfg.recordings))
+    for i, (item, seed) in enumerate(zip(cfg.recordings, seeds)):
         for key in ("recording", "annotation"):
             path = item.get(key)
             if not isinstance(path, str) or not os.path.isfile(path):
@@ -222,7 +263,7 @@ def _window_jobs(cfg: PipelineConfig):
                 }
             )
         nonaf, shortfall = dataio.sample_nonaf_windows(
-            rec, ann, count=len(result.windows), rng_seed=cfg.seed, window_s=cfg.window_s
+            rec, ann, count=len(result.windows), rng_seed=seed, window_s=cfg.window_s
         )
         if shortfall:
             event_exclusions.append(
@@ -252,7 +293,8 @@ def _process_window(args):
     """Per-window work unit: quality gate, beats, all extractors.
 
     The R peaks are the energy detections the bSQI gate computed; the
-    detector runs once per window.
+    detector runs once per window, and so does ``beat_matrix``, whose
+    stack, template and spans every extractor shares.
 
     Returns either a result dict or an exclusion dict. Synth records are
     filtered here (whole record = one window); real-recording windows
@@ -271,9 +313,8 @@ def _process_window(args):
         if len(report.r_peaks) < 2:
             return {"window_id": wid, "excluded": "too_few_beats"}
         beats = segment_fiducials(x, fs, report.r_peaks)
-        residuals = {}
-        for method in cfg.extractors:
-            residuals[method] = run_extractor(method, x, beats, min_beats=cfg.min_beats).residual
+        bm = beat_matrix(x, beats, cfg.min_beats)
+        residuals = {method: run_extractor(method, bm).residual for method in cfg.extractors}
     except (ExtractionError, FwaveError, ValueError) as exc:
         return {"window_id": wid, "excluded": f"{type(exc).__name__}: {exc}"}
     out = {

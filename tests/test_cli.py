@@ -7,6 +7,7 @@ import pytest
 
 from fwave.cli import main
 from fwave.dataio import EcgRecording, load_recording, write_recording
+from fwave.pipeline import PipelineConfig, _window_jobs
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -145,11 +146,22 @@ class TestStagedComposition:
         cfg_b = _config(tmp_path / "b", seed=77)
         assert main(["run", "--config", cfg_a]) == 0
         for cmd in ("synth", "extract", "daf", "eval"):
-            assert main([cmd, "--config", cfg_b]) == 0
+            extra = ["--dump-beats"] if cmd == "extract" else []
+            assert main([cmd, "--config", cfg_b, *extra]) == 0
         out_a = json.load(open(cfg_a))["out_dir"]
         out_b = json.load(open(cfg_b))["out_dir"]
         for name in ("features.csv", "metrics.json", "daf.csv", "report.txt"):
             assert _sha(os.path.join(out_a, name)) == _sha(os.path.join(out_b, name)), name
+        # --dump-beats: one beat map per analysed window, none elsewhere
+        wids = [w["window_id"] for w in json.load(open(os.path.join(out_b, "windows.json")))["windows"]]
+        assert wids and sorted(os.listdir(os.path.join(out_b, "beats"))) == sorted(
+            f"{wid}.json" for wid in wids
+        )
+        assert not os.path.exists(os.path.join(out_a, "beats"))
+        for wid in wids:
+            beats = json.load(open(os.path.join(out_b, "beats", f"{wid}.json")))
+            assert np.all(np.diff(beats["r_peaks"]) > 0), wid
+            assert len(beats["fiducials"]) == len(beats["r_peaks"]), wid
 
 
 class TestWorkers:
@@ -258,7 +270,63 @@ class TestWindowIds:
         assert not (out / "residuals").exists() and not (out / "windows.json").exists()
 
 
+class TestNonAfDraws:
+    @staticmethod
+    def _nonaf_starts(tmp_path, seed):
+        # two recordings with one layout: three 60 s AF events (one
+        # window each) between ten 60 s non-AF slots
+        fs = 200
+        x = 0.1 * np.sin(np.arange(780 * fs) * 0.05)
+        recordings = []
+        for i in range(2):
+            rec_path = tmp_path / f"r{i}.fwk"
+            write_recording(EcgRecording(samples=x, fs=fs, record_id=f"rec{i}"),
+                            rec_path, fmt="binary")
+            ann_path = tmp_path / f"r{i}.json"
+            ann_path.write_text(json.dumps([
+                {"onset": a * fs, "offset": b * fs, "label": label}
+                for a, b, label in ((0, 60, "AF"), (60, 360, "non-AF"), (360, 420, "AF"),
+                                    (420, 720, "non-AF"), (720, 780, "AF"))
+            ]))
+            recordings.append({"recording": str(rec_path), "annotation": str(ann_path)})
+        cfg = PipelineConfig.from_dict(
+            {"out_dir": str(tmp_path / "out"), "seed": seed, "recordings": recordings}
+        )
+        jobs, _ = _window_jobs(cfg)
+        starts = {"rec0": [], "rec1": []}
+        for wid, _, _, label, _ in jobs:
+            if label == "non-AF":
+                rid, start = wid.split("_w")
+                starts[rid].append(int(start))
+        return starts
+
+    @pytest.mark.parametrize("seed", [1, 2, 4])
+    def test_recordings_draw_independently(self, tmp_path, seed):
+        starts = self._nonaf_starts(tmp_path, seed)
+        assert len(starts["rec0"]) == len(starts["rec1"]) == 3
+        assert starts["rec0"] != starts["rec1"]
+        assert self._nonaf_starts(tmp_path, seed) == starts
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("key, value, needle", [
+        ("bsqi_segment_s", "10", "bsqi_segment_s"),
+        ("workers", "2", "workers"),
+        ("workers", True, "workers"),
+        ("min_beats", "8", "min_beats"),
+        ("min_beats", 0, "min_beats"),
+        ("seed", -1, "seed"),
+        ("dump_beats", 1, "dump_beats"),
+        ("extractors", 5, "extractors"),
+        ("synth", [], "synth"),
+        ("filter", {"band_low": "0.5"}, "filter.band_low"),
+        ("filter", {"bogus": 1}, "bogus"),
+    ])
+    def test_bad_value_is_2(self, tmp_path, capsys, key, value, needle):
+        cfg = _config(tmp_path, **{key: value})
+        assert main(["run", "--config", cfg]) == 2
+        _one_line_error(capsys, needle)
+
     def test_config_error_is_2(self, tmp_path):
         cfg = _config(tmp_path, bogus_key=1)
         assert main(["run", "--config", cfg]) == 2

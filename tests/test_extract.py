@@ -1,21 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fwave.pipeline
 from fwave.beats import detect_r_peaks_energy, segment_fiducials
 from fwave.errors import ExtractionError
 from fwave.extract import (
     METHODS,
-    build_template,
+    beat_matrix,
     extract,
     ts_basic,
     ts_pca,
     ts_scaled,
     ts_segment_scaled,
 )
+from fwave.pipeline import PipelineConfig, _process_window
 from fwave.spectral import estimate_daf, welch_psd
 from fwave.synth import SynthConfig, generate
 
 from conftest import gauss_train
+from extract_reference import REFERENCE
 
 FS = 200.0
 QRST = ((-0.1, -0.04, 0.012), (1.0, 0.0, 0.016), (-0.5, 0.055, 0.02), (0.4, 0.22, 0.07))
@@ -43,12 +48,12 @@ class TestBuildTemplate:
     def test_identical_beats_template_equals_beat(self):
         x, r = _train()
         bm = _beatmap(x, FS, r)
-        model = build_template(x, bm)
+        model = beat_matrix(x, bm)
         pre = int(0.3 * FS)
         post = int(0.45 * FS)
         beat = x[r[5] - pre : r[5] + post + 1]
         np.testing.assert_allclose(model.template, beat, atol=1e-12)
-        assert model.alignment_offset == pre
+        assert np.array_equal(model.starts, r - pre)
 
     def test_noise_averages_down(self):
         # 64 beats with sigma=0.1 noise: template error ~ 0.1/sqrt(64)
@@ -57,28 +62,28 @@ class TestBuildTemplate:
         for trial in range(10):
             x, r = _train(n_beats=66, rr=200)
             clean_bm = _beatmap(x, FS, r)
-            clean = build_template(x, clean_bm).template
+            clean = beat_matrix(x, clean_bm).template
             noisy = x + rng.normal(0, 0.1, size=len(x))
-            model = build_template(noisy, _beatmap(noisy, FS, r))
+            model = beat_matrix(noisy, _beatmap(noisy, FS, r))
             errs.append(np.sqrt(np.mean((model.template - clean) ** 2)))
         assert np.mean(errs) < 2.0 * 0.1 / np.sqrt(64)
 
     def test_edge_beats_not_counted(self):
         x, r = _train(n_beats=10)
         r_with_edge = np.concatenate(([5], r))  # no room for the pre-span
-        model = build_template(x, _beatmap(x, FS, r_with_edge))
-        assert model.n_beats == 10
+        model = beat_matrix(x, _beatmap(x, FS, r_with_edge))
+        assert len(model.kept) == 10
 
     def test_too_few_beats_raises(self):
         x, r = _train(n_beats=5)
         with pytest.raises(ExtractionError, match="beats"):
-            build_template(x, _beatmap(x, FS, r), min_beats=8)
+            beat_matrix(x, _beatmap(x, FS, r), min_beats=8)
 
 
 class TestTsBasic:
     def test_periodic_beats_cancel_below_1pct(self):
         x, r = _train(n_beats=30)
-        res = ts_basic(x, _beatmap(x, FS, r))
+        res = ts_basic(beat_matrix(x, _beatmap(x, FS, r)))
         assert _span_rms(res.residual, res.spans) < 0.01 * _span_rms(x, res.spans)
         assert res.method == "TS_B"
         assert res.beats_used == len(res.spans)
@@ -87,7 +92,7 @@ class TestTsBasic:
         x, r = _train(n_beats=40, rr=170)
         t = np.arange(len(x)) / FS
         wave = 0.1 * np.sin(2 * np.pi * 6.0 * t)
-        res = ts_basic(x + wave, _beatmap(x + wave, FS, r))
+        res = ts_basic(beat_matrix(x + wave, _beatmap(x + wave, FS, r)))
         ps = welch_psd(res.residual, FS, seg_s=10)
         assert estimate_daf(ps).daf_hz == pytest.approx(6.0, abs=0.1)
         corr = np.corrcoef(res.residual, wave)[0, 1]
@@ -96,7 +101,7 @@ class TestTsBasic:
     def test_qrs_amplitude_reduced_10x(self, af_record, af_record_filtered):
         fs = af_record.fs
         det = detect_r_peaks_energy(af_record_filtered, fs)
-        res = ts_basic(af_record_filtered, _beatmap(af_record_filtered, fs, det))
+        res = ts_basic(beat_matrix(af_record_filtered, _beatmap(af_record_filtered, fs, det)))
         # the residual legitimately keeps the f-wave, so measure the
         # ventricular leftover: residual minus the known atrial signal
         cancel_err = res.residual - af_record.clean_fwave
@@ -110,7 +115,7 @@ class TestTsBasic:
 
     def test_outside_spans_untouched(self):
         x, r = _train(n_beats=12, rr=250)
-        res = ts_basic(x, _beatmap(x, FS, r))
+        res = ts_basic(beat_matrix(x, _beatmap(x, FS, r)))
         mask = np.ones(len(x), dtype=bool)
         for a, b in res.spans:
             mask[a:b] = False
@@ -118,7 +123,7 @@ class TestTsBasic:
 
     def test_length_preserved(self):
         x, r = _train()
-        res = ts_basic(x, _beatmap(x, FS, r))
+        res = ts_basic(beat_matrix(x, _beatmap(x, FS, r)))
         assert len(res.residual) == len(x)
 
 
@@ -126,7 +131,7 @@ class TestTsScaled:
     def test_alternating_amplitudes_fit(self):
         scales = np.array([1.0, 1.2] * 10)
         x, r = _train(n_beats=20, scales=scales)
-        res = ts_scaled(x, _beatmap(x, FS, r))
+        res = ts_scaled(beat_matrix(x, _beatmap(x, FS, r)))
         gains = res.per_beat_gains
         # gains alternate with the beat amplitudes (ratio 1.2) and the fit
         # cancels nearly everything
@@ -140,8 +145,8 @@ class TestTsScaled:
         fs = af_record.fs
         det = detect_r_peaks_energy(af_record_filtered, fs)
         bm = _beatmap(af_record_filtered, fs, det)
-        basic = ts_basic(af_record_filtered, bm)
-        scaled = ts_scaled(af_record_filtered, bm)
+        basic = ts_basic(beat_matrix(af_record_filtered, bm))
+        scaled = ts_scaled(beat_matrix(af_record_filtered, bm))
         assert basic.spans == scaled.spans
         for a, b in basic.spans:
             eb = float(np.sum(basic.residual[a:b] ** 2))
@@ -151,7 +156,7 @@ class TestTsScaled:
     def test_gain_clamped_to_three(self):
         scales = np.array([1.0] * 19 + [50.0])
         x, r = _train(n_beats=20, scales=scales)
-        res = ts_scaled(x, _beatmap(x, FS, r))
+        res = ts_scaled(beat_matrix(x, _beatmap(x, FS, r)))
         assert np.max(res.per_beat_gains) <= 3.0
         assert np.min(res.per_beat_gains) >= 0.0
 
@@ -159,7 +164,7 @@ class TestTsScaled:
         x = np.zeros(4000)
         r = np.arange(10) * 300 + 300
         with pytest.raises(ExtractionError, match="flat"):
-            ts_scaled(x, _beatmap(x, FS, r))
+            ts_scaled(beat_matrix(x, _beatmap(x, FS, r)))
 
 
 class TestTsSegmentScaled:
@@ -167,8 +172,8 @@ class TestTsSegmentScaled:
         # all three segment gains are exactly 1, so crossfades blend 1 with 1
         x, r = _train(n_beats=25)
         bm = _beatmap(x, FS, r)
-        su = ts_segment_scaled(x, bm)
-        basic = ts_basic(x, bm)
+        su = ts_segment_scaled(beat_matrix(x, bm))
+        basic = ts_basic(beat_matrix(x, bm))
         np.testing.assert_allclose(su.residual, basic.residual, atol=1e-12)
         assert su.method == "TS_SU"
 
@@ -181,7 +186,7 @@ class TestTsSegmentScaled:
         x = gauss_train(FS, n, r, bumps=qrs)
         t_scales = np.array([1.0, 1.6] * 10)
         x = x + gauss_train(FS, n, r, scales=t_scales, bumps=twave)
-        res = ts_segment_scaled(x, _beatmap(x, FS, r))
+        res = ts_segment_scaled(beat_matrix(x, _beatmap(x, FS, r)))
         t_gains = np.array([g[2] for g in res.per_beat_gains])
         qrs_gains = np.array([g[1] for g in res.per_beat_gains])
         assert np.median(t_gains[1::2]) / np.median(t_gains[::2]) == pytest.approx(
@@ -198,7 +203,7 @@ class TestTsSegmentScaled:
         x = np.zeros(n)
         for rp in r:
             x[rp - 5 : rp + 6] += np.hamming(11)
-        res = ts_segment_scaled(x, _beatmap(x, FS, r))
+        res = ts_segment_scaled(beat_matrix(x, _beatmap(x, FS, r)))
         assert any("P segment" in f for f in res.flags)
         assert all(g[0] == 0.0 for g in res.per_beat_gains)
 
@@ -206,7 +211,7 @@ class TestTsSegmentScaled:
 class TestTsPca:
     def test_identical_beats_rank1_cancels(self):
         x, r = _train(n_beats=20)
-        res = ts_pca(x, _beatmap(x, FS, r))
+        res = ts_pca(beat_matrix(x, _beatmap(x, FS, r)))
         assert "rank=1" in res.flags
         assert _span_rms(res.residual, res.spans) < 1e-6 * _span_rms(x, res.spans)
         assert res.method == "TS_PCA"
@@ -215,7 +220,7 @@ class TestTsPca:
         rng = np.random.default_rng(2)
         x, r = _train(n_beats=20)
         x = x + rng.normal(0, 0.05, size=len(x))
-        res = ts_pca(x, _beatmap(x, FS, r), var_target=1.0, max_rank=3)
+        res = ts_pca(beat_matrix(x, _beatmap(x, FS, r)), var_target=1.0, max_rank=3)
         assert "rank=3" in res.flags
 
     def test_drift_plus_wave_recovers_fundamental(self):
@@ -223,7 +228,7 @@ class TestTsPca:
         x, r = _train(n_beats=40, rr=170, scales=scales)
         t = np.arange(len(x)) / FS
         wave = 0.1 * np.sin(2 * np.pi * 7.0 * t) + 0.05 * np.sin(2 * np.pi * 14.0 * t)
-        res = ts_pca(x + wave, _beatmap(x + wave, FS, r))
+        res = ts_pca(beat_matrix(x + wave, _beatmap(x + wave, FS, r)))
         ps = welch_psd(res.residual, FS, seg_s=10)
         assert estimate_daf(ps).daf_hz == pytest.approx(7.0, abs=0.2)
 
@@ -231,13 +236,13 @@ class TestTsPca:
         rng = np.random.default_rng(3)
         x, r = _train(n_beats=12)
         x = x + rng.normal(0, 0.02, size=len(x))
-        res = ts_pca(x, _beatmap(x, FS, r), var_target=1.0, max_rank=12)
+        res = ts_pca(beat_matrix(x, _beatmap(x, FS, r)), var_target=1.0, max_rank=12)
         assert _span_rms(res.residual, res.spans) < 1e-9
 
     def test_too_few_beats_raises(self):
         x, r = _train(n_beats=5)
         with pytest.raises(ExtractionError):
-            ts_pca(x, _beatmap(x, FS, r))
+            ts_pca(beat_matrix(x, _beatmap(x, FS, r)))
 
 
 class TestSharedProperties:
@@ -246,15 +251,15 @@ class TestSharedProperties:
         fs = af_record.fs
         det = detect_r_peaks_energy(af_record_filtered, fs)
         bm = _beatmap(af_record_filtered, fs, det)
-        r1 = extract(method, af_record_filtered, bm).residual
-        r2 = extract(method, 2.5 * af_record_filtered, bm).residual
+        r1 = extract(method, beat_matrix(af_record_filtered, bm)).residual
+        r2 = extract(method, beat_matrix(2.5 * af_record_filtered, bm)).residual
         np.testing.assert_allclose(r2, 2.5 * r1, rtol=1e-9, atol=1e-12)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_length_and_tag(self, method, af_record, af_record_filtered):
         fs = af_record.fs
         det = detect_r_peaks_energy(af_record_filtered, fs)
-        res = extract(method, af_record_filtered, _beatmap(af_record_filtered, fs, det))
+        res = extract(method, beat_matrix(af_record_filtered, _beatmap(af_record_filtered, fs, det)))
         assert len(res.residual) == len(af_record_filtered)
         assert res.method == method
         assert np.all(np.isfinite(res.residual))
@@ -263,7 +268,7 @@ class TestSharedProperties:
     def test_fwave_correlation(self, method, af_record, af_record_filtered):
         fs = af_record.fs
         det = detect_r_peaks_energy(af_record_filtered, fs)
-        res = extract(method, af_record_filtered, _beatmap(af_record_filtered, fs, det))
+        res = extract(method, beat_matrix(af_record_filtered, _beatmap(af_record_filtered, fs, det)))
         corr = np.corrcoef(res.residual, af_record.clean_fwave)[0, 1]
         assert corr >= 0.8
 
@@ -276,11 +281,89 @@ class TestSharedProperties:
         # keep the wave under the 5% variance budget the 0.95 target leaves
         # to non-ventricular content, or a quadrature gets absorbed
         wave = 0.05 * np.sin(2 * np.pi * 7.0 * t)
-        res = ts_pca(x + wave, _beatmap(x + wave, FS, r))
+        res = ts_pca(beat_matrix(x + wave, _beatmap(x + wave, FS, r)))
         assert np.corrcoef(res.residual, wave)[0, 1] >= 0.8
 
     def test_unknown_method(self, af_record, af_record_filtered):
         fs = af_record.fs
         det = detect_r_peaks_energy(af_record_filtered, fs)
         with pytest.raises(ExtractionError, match="unknown"):
-            extract("TS_X", af_record_filtered, _beatmap(af_record_filtered, fs, det))
+            extract("TS_X", beat_matrix(af_record_filtered, _beatmap(af_record_filtered, fs, det)))
+
+
+PRE, POST = int(round(0.3 * FS)), int(round(0.45 * FS))
+
+
+@st.composite
+def _windows(draw):
+    """A signal, an R-peak layout and a min_beats around its usable count.
+
+    Peaks are sorted and unique; gaps run from 1 sample (neighbours much
+    closer than the span) to past the span, and the first and last
+    peaks may sit inside ``pre``/``post`` of the signal edges.
+    """
+    gaps = draw(st.lists(st.integers(1, PRE + POST + 60), min_size=1, max_size=14))
+    r = draw(st.integers(0, PRE + 20)) + np.concatenate(([0], np.cumsum(gaps)))
+    n = int(r[-1]) + 1 + draw(st.integers(0, POST + 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["noise", "beats", "sparse", "flat"]))
+    if kind == "noise":
+        x = draw(st.sampled_from([1e-3, 1.0, 1e3])) * rng.normal(size=n)
+    elif kind == "beats":
+        x = gauss_train(FS, n, r) + 0.05 * rng.normal(size=n)
+    elif kind == "sparse":
+        # exact zeros away from R: flat template slices and flat segments
+        x = np.zeros(n)
+        for rp in r:
+            lo, hi = max(rp - 5, 0), min(rp + 6, n)
+            x[lo:hi] += np.hamming(11)[lo - (rp - 5) : hi - (rp - 5)]
+    else:
+        x = np.zeros(n)
+    usable = int(np.sum((r - PRE >= 0) & (r + POST + 1 <= n)))
+    min_beats = max(1, usable + draw(st.integers(-1, 1)))
+    return x, r, min_beats
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except ExtractionError as exc:
+        return str(exc)
+
+
+class TestMatchesReference:
+    """Every extractor on the shared beat matrix gives exactly what the
+    per-extractor stacking gave before it (``extract_reference``)."""
+
+    @given(_windows())
+    @settings(max_examples=300, deadline=None)
+    def test_same_outputs_and_errors(self, case):
+        x, r, min_beats = case
+        beats = _beatmap(x, FS, r)
+        for method in METHODS:
+            want = _outcome(lambda: REFERENCE[method](x, beats, min_beats=min_beats))
+            got = _outcome(lambda: extract(method, beat_matrix(x, beats, min_beats)))
+            if isinstance(want, str) or isinstance(got, str):
+                assert got == want, method
+                continue
+            assert np.array_equal(got.residual, want.residual), method
+            assert got.spans == want.spans, method
+            assert np.array_equal(got.per_beat_gains, want.per_beat_gains), method
+            assert got.flags == want.flags, method
+            assert got.beats_used == want.beats_used, method
+
+
+class TestOneBeatMatrixPerWindow:
+    def test_one_call_per_analysed_window(self, af_record, monkeypatch):
+        calls = []
+
+        def counted(x, beats, min_beats):
+            calls.append(1)
+            return beat_matrix(x, beats, min_beats)
+
+        monkeypatch.setattr(fwave.pipeline, "beat_matrix", counted)
+        out = _process_window(
+            ("w0", af_record.ecg, af_record.fs, "AF", PipelineConfig(), False)
+        )
+        assert sorted(out["residuals"]) == sorted(METHODS), out
+        assert len(calls) == 1
