@@ -89,6 +89,7 @@ def _config(args) -> pipeline.PipelineConfig:
                 args.f0_max if args.f0_max is not None else hi,
             )
         cfg.synth = synth_spec
+        cfg.validate()
     return cfg
 
 

@@ -74,9 +74,11 @@ class FeatureTable:
         """Read a table written by ``to_csv``; ``split`` may be absent.
 
         A missing column, a short row, a non-finite or non-numeric
-        ``daf_hz`` or bytes that are not UTF-8 raise FormatError.
+        ``daf_hz``, a second row for one (window_id, method) or bytes
+        that are not UTF-8 raise FormatError.
         """
         wid, met, daf, lab, spl = [], [], [], [], []
+        seen = set()
         try:
             with open(path, newline="", encoding="utf-8") as fh:
                 reader = csv.DictReader(fh)
@@ -94,6 +96,10 @@ class FeatureTable:
                             f"{path}: line {reader.line_num}: need a finite daf_hz and "
                             f"all of {', '.join(REQUIRED_COLUMNS)}, got {values}"
                         )
+                    key = (row["window_id"], row["method"])
+                    if key in seen:
+                        raise FormatError(f"{path}: line {reader.line_num}: second row for {key}")
+                    seen.add(key)
                     wid.append(row["window_id"])
                     met.append(row["method"])
                     daf.append(d)

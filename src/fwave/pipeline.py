@@ -12,10 +12,12 @@ subcommands) produces byte-identical artifacts to a monolithic run:
 
 Synth records (by default) and the per-window, per-method residuals in
 residuals/{window_id}__{method}.fwk are binary float64 ``.fwk`` files,
-so nothing is rounded between stages. A stage whose input is missing
-(e.g. ``daf`` before ``extract``) raises ConfigError naming the file and
-the stage that writes it; a ``recordings`` entry naming no file raises
-ConfigError naming the path and its config key.
+so nothing is rounded between stages; the process that extracts a
+window writes them. Each record is filtered whole, and a filter that
+cannot be applied raises ConfigError, as does a stage whose input is
+missing (e.g. ``daf`` before ``extract``: the message names the file and
+the stage that writes it) and a ``recordings`` entry naming no file
+(the message names the path and its config key).
 
 Failures are per-window: a bad window lands in the exclusion ledger and
 the run continues. A run that yields zero usable windows raises
@@ -40,6 +42,7 @@ from .errors import (
     ExtractionError,
     FwaveError,
     NoUsableWindowsError,
+    VotingError,
 )
 from .evaluate import (
     FeatureTable,
@@ -77,16 +80,24 @@ def _type_ok(value, tp) -> bool:
     return isinstance(value, {int: numbers.Integral, float: numbers.Real}.get(tp, tp))
 
 
+def _check_type(key, value, tp) -> None:
+    if not _type_ok(value, tp):
+        want = getattr(tp, "__args__", (tp,))
+        raise ConfigError(
+            f"config key {key} must be {' or '.join(_JSON_TYPES[t] for t in want)}, "
+            f"not {_JSON_TYPES.get(type(value), type(value).__name__)}"
+        )
+
+
 def _check_types(obj, prefix="") -> None:
     for name, f in obj.__dataclass_fields__.items():
-        value = getattr(obj, name)
-        if not _type_ok(value, f.type):
-            want = getattr(f.type, "__args__", (f.type,))
-            raise ConfigError(
-                f"config key {prefix}{name} must be "
-                f"{' or '.join(_JSON_TYPES[t] for t in want)}, "
-                f"not {_JSON_TYPES.get(type(value), type(value).__name__)}"
-            )
+        _check_type(prefix + name, getattr(obj, name), f.type)
+
+
+# keys of the synth block: generate_corpus's arguments, less the seed
+_SYNTH_TYPES = {"n_af": int, "n_sinus": int, "f0_range": list | tuple, "fs": float,
+                "duration_s": float, "fwave_amp_mv": float, "noise_rms_mv": float,
+                "artifact_rms_mv": float}
 
 
 @dataclass
@@ -115,6 +126,14 @@ class PipelineConfig:
     def validate(self) -> None:
         _check_types(self)
         _check_types(self.filter, "filter.")
+        for key, value in (self.synth or {}).items():
+            if key not in _SYNTH_TYPES:
+                raise ConfigError(f"unknown synth config key {key!r}")
+            _check_type(f"synth.{key}", value, _SYNTH_TYPES[key])
+            if key == "f0_range" and not (
+                len(value) == 2 and all(_type_ok(f, float) for f in value) and value[0] <= value[1]
+            ):
+                raise ConfigError("config key synth.f0_range must be two numbers [low, high]")
         for m in self.extractors:
             if m not in METHODS:
                 raise ConfigError(f"unknown extractor {m!r}")
@@ -122,6 +141,12 @@ class PipelineConfig:
             bad = [m for m in self.voting_set if m not in self.extractors]
             if bad:
                 raise ConfigError(f"voting set not a subset of extractors: {bad}")
+        for key in ("extractors", "voting_set"):
+            names = getattr(self, key)
+            if names is not None and not names:
+                raise ConfigError(f"{key} names no method")
+            if names is not None and len(set(names)) < len(names):
+                raise ConfigError(f"{key} names a method twice: {list(names)}")
         if not 0 < self.window_s:
             raise ConfigError("window_s must be positive")
         if self.bsqi_segment_s < 5:
@@ -189,13 +214,8 @@ def stage_synth(cfg: PipelineConfig) -> list:
     """Generate the synthetic corpus and write records plus a manifest."""
     if cfg.synth is None:
         return []
-    spec = dict(cfg.synth)
-    n_af = int(spec.pop("n_af", 100))
-    n_sinus = int(spec.pop("n_sinus", 100))
-    f0_range = tuple(spec.pop("f0_range", (4.5, 11.0)))
-    corpus = synth.generate_corpus(
-        n_af, n_sinus, f0_range=f0_range, rng_seed=cfg.seed, **spec
-    )
+    # validate checked the block's keys and types
+    corpus = synth.generate_corpus(**{"n_af": 100, "n_sinus": 100, **cfg.synth}, rng_seed=cfg.seed)
     rec_dir = _path(cfg, "records")
     os.makedirs(rec_dir, exist_ok=True)
     ext = "csv" if cfg.record_format == "csv" else "fwk"
@@ -228,12 +248,18 @@ def stage_synth(cfg: PipelineConfig) -> list:
 # --- stage: extract ---------------------------------------------------------
 
 def _window_jobs(cfg: PipelineConfig):
-    """List (window_id, samples, fs, label, prefiltered) for every
-    candidate window, plus a ledger of event-level exclusions."""
+    """List (window_id, samples, fs, label) for every candidate window,
+    plus a ledger of event-level exclusions. Every record is filtered
+    whole, here; a synth or manifest record is a single window."""
     jobs = []
     event_exclusions = []
-    manifest_path = _path(cfg, "records", "manifest.json")
-    if cfg.synth is not None or os.path.exists(manifest_path):
+
+    def add(rec, windows):  # windows: (window_id, start, end, label)
+        x = prefilter(rec.samples, rec.fs, cfg.filter)
+        jobs.extend((wid, x[start:end], rec.fs, label) for wid, start, end, label in windows)
+
+    if cfg.synth is not None or not cfg.recordings:
+        manifest_path = _path(cfg, "records", "manifest.json")
         _require(manifest_path, "synth")
         with open(manifest_path) as fh:
             manifest = json.load(fh)["records"]
@@ -241,7 +267,7 @@ def _window_jobs(cfg: PipelineConfig):
             rec_path = _path(cfg, "records", entry["path"])
             _require(rec_path, "synth")
             rec = dataio.load_recording(rec_path)
-            jobs.append((entry["id"], rec.samples, rec.fs, entry["label"], False))
+            add(rec, [(entry["id"], 0, len(rec.samples), entry["label"])])
     # one child seed per recording, so equal layouts draw different non-AF slots
     seeds = np.random.SeedSequence(cfg.seed).spawn(len(cfg.recordings))
     for i, (item, seed) in enumerate(zip(cfg.recordings, seeds)):
@@ -251,7 +277,6 @@ def _window_jobs(cfg: PipelineConfig):
                 raise ConfigError(f"missing {path}: named by config key recordings[{i}].{key}")
         rec = dataio.load_recording(item["recording"])
         ann = dataio.load_annotations(item["annotation"])
-        filtered = prefilter(rec.samples, rec.fs, cfg.filter)
         result = dataio.extract_af_windows(rec, ann, cfg.min_event_s, cfg.window_s)
         for onset, offset in result.excluded_events:
             event_exclusions.append(
@@ -273,11 +298,8 @@ def _window_jobs(cfg: PipelineConfig):
                     "missing_windows": shortfall,
                 }
             )
-        for win in result.windows + nonaf:
-            wid = f"{rec.record_id}_w{win.start_sample:09d}"
-            jobs.append(
-                (wid, filtered[win.start_sample : win.end_sample], rec.fs, win.label, True)
-            )
+        add(rec, [(f"{rec.record_id}_w{win.start_sample:09d}", win.start_sample,
+                   win.end_sample, win.label) for win in result.windows + nonaf])
     seen = set()
     for wid, *_ in jobs:
         if wid in seen:
@@ -290,19 +312,20 @@ def _window_jobs(cfg: PipelineConfig):
 
 
 def _process_window(args):
-    """Per-window work unit: quality gate, beats, all extractors.
+    """One filtered window to its files: quality gate, beats, every
+    extractor, then ``residuals/{window_id}__{method}.fwk`` and, under
+    ``dump_beats``, ``beats/{window_id}.json``. Nothing is written
+    unless every extractor succeeded.
 
     The R peaks are the energy detections the bSQI gate computed; the
     detector runs once per window, and so does ``beat_matrix``, whose
     stack, template and spans every extractor shares.
 
-    Returns either a result dict or an exclusion dict. Synth records are
-    filtered here (whole record = one window); real-recording windows
-    arrive prefiltered.
+    Returns the window's ledger row, ``{"window_id", "label", "fs"}``,
+    or ``{"window_id", "excluded"}`` with the reason.
     """
-    wid, samples, fs, label, cfg, already_filtered = args
+    wid, x, fs, label, cfg = args
     try:
-        x = samples if already_filtered else prefilter(samples, fs, cfg.filter)
         report = compute_bsqi(
             x, fs, segment_s=cfg.bsqi_segment_s,
             match_tol_ms=cfg.bsqi_match_tol_ms, threshold=cfg.bsqi_threshold,
@@ -317,53 +340,32 @@ def _process_window(args):
         residuals = {method: run_extractor(method, bm).residual for method in cfg.extractors}
     except (ExtractionError, FwaveError, ValueError) as exc:
         return {"window_id": wid, "excluded": f"{type(exc).__name__}: {exc}"}
-    out = {
-        "window_id": wid,
-        "label": label,
-        "fs": fs,
-        "residuals": residuals,
-    }
+    for method, residual in residuals.items():
+        rec = dataio.EcgRecording(samples=residual, fs=fs, lead_name=method, record_id=wid)
+        dataio.write_recording(rec, _path(cfg, "residuals", f"{wid}__{method}.fwk"), fmt="binary")
     if cfg.dump_beats:
-        out["beats"] = beats.to_json_dict()
-    return out
+        with open(_path(cfg, "beats", f"{wid}.json"), "w") as fh:
+            json.dump(beats.to_json_dict(), fh)
+    return {"window_id": wid, "label": label, "fs": fs}
 
 
 def stage_extract(cfg: PipelineConfig) -> dict:
-    """Gate windows, run every extractor, write residuals and the ledger."""
+    """Gate and extract every candidate window, then write the ledger."""
     jobs, event_exclusions = _window_jobs(cfg)
-    work = [
-        (wid, samples, fs, label, cfg, prefiltered)
-        for wid, samples, fs, label, prefiltered in jobs
-    ]
+    os.makedirs(_path(cfg, "residuals"), exist_ok=True)
+    if cfg.dump_beats:
+        os.makedirs(_path(cfg, "beats"), exist_ok=True)
+    work = [(*job, cfg) for job in jobs]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_process_window, work, chunksize=4))
+            rows = list(pool.map(_process_window, work, chunksize=4))
     else:
-        results = [_process_window(w) for w in work]
-
-    results.sort(key=lambda r: r["window_id"])
-    res_dir = _path(cfg, "residuals")
-    os.makedirs(res_dir, exist_ok=True)
-    windows = []
-    window_exclusions = []
-    for res in results:
-        if "excluded" in res:
-            window_exclusions.append({"window_id": res["window_id"], "reason": res["excluded"]})
-            continue
-        windows.append({"window_id": res["window_id"], "label": res["label"], "fs": res["fs"]})
-        for method, residual in res["residuals"].items():
-            rec = dataio.EcgRecording(
-                samples=residual, fs=res["fs"], lead_name=method, record_id=res["window_id"]
-            )
-            dataio.write_recording(
-                rec, os.path.join(res_dir, f"{res['window_id']}__{method}.fwk"), fmt="binary"
-            )
-        if cfg.dump_beats and "beats" in res:
-            beat_dir = _path(cfg, "beats")
-            os.makedirs(beat_dir, exist_ok=True)
-            with open(os.path.join(beat_dir, f"{res['window_id']}.json"), "w") as fh:
-                json.dump(res["beats"], fh)
-    os.makedirs(cfg.out_dir, exist_ok=True)
+        rows = [_process_window(w) for w in work]
+    rows.sort(key=lambda r: r["window_id"])
+    windows = [r for r in rows if "excluded" not in r]
+    window_exclusions = [
+        {"window_id": r["window_id"], "reason": r["excluded"]} for r in rows if "excluded" in r
+    ]
     with open(_path(cfg, "windows.json"), "w") as fh:
         json.dump({"windows": windows, "extractors": list(cfg.extractors)}, fh, indent=1)
     ledger = {"events": event_exclusions, "windows": window_exclusions}
@@ -462,18 +464,16 @@ def stage_eval(cfg: PipelineConfig, table: FeatureTable | None = None) -> dict:
         # median-vote DAF per window over the voting set
         per_window = {}
         for wid, m, d, lab, spl in table.rows():
-            per_window.setdefault(
-                wid, {"label": lab, "split": spl, "daf": {}}
-            )["daf"][m] = d
+            per_window.setdefault(wid, (lab, spl, []))[2].append(
+                spectral.DafEstimate(daf_hz=d, peak_power=0.0, method=m)
+            )
         for wid in sorted(per_window):
-            info = per_window[wid]
-            missing = [m for m in voting_set if m not in info["daf"]]
-            if missing:
-                raise ConfigError(
-                    f"window {wid} lacks DAF for voting method(s) {missing}"
-                )
-            vote = float(np.median([info["daf"][m] for m in voting_set]))
-            vote_table.append(wid, "vote", vote, info["label"], info["split"])
+            lab, spl, estimates = per_window[wid]
+            try:
+                vote = spectral.vote_daf(estimates, voting_set)
+            except VotingError as exc:
+                raise VotingError(f"window {wid}: {exc}") from None
+            vote_table.append(wid, "vote", vote.daf_hz, lab, spl)
 
     vote_model = train_rf(
         vote_table, "vote", n_trees=cfg.rf_n_trees,

@@ -94,7 +94,8 @@ class TestMatchedDetector:
 
 
 class TestDetectOnce:
-    def test_one_energy_call_per_window(self, af_record, monkeypatch):
+    def test_one_energy_call_per_window(self, af_record_filtered, af_record, monkeypatch,
+                                        tmp_path):
         calls = []
 
         def counted(x, fs):
@@ -103,10 +104,12 @@ class TestDetectOnce:
 
         for module in (fwave.pipeline, fwave.preprocess, fwave.beats):
             monkeypatch.setattr(module, "detect_r_peaks_energy", counted)
+        (tmp_path / "residuals").mkdir()
         out = _process_window(
-            ("w0", af_record.ecg, af_record.fs, "AF", PipelineConfig(), False)
+            ("w0", af_record_filtered, af_record.fs, "AF", PipelineConfig(out_dir=str(tmp_path)))
         )
-        assert "residuals" in out, out
+        assert "excluded" not in out, out
+        assert (tmp_path / "residuals" / "w0__TS_B.fwk").is_file()
         assert len(calls) == 1
 
     def test_bsqi_returns_the_energy_detections(self, af_record_filtered, af_record):

@@ -168,12 +168,13 @@ class TestWorkers:
     def test_two_workers_match_one(self, tmp_path):
         cfg_a = _config(tmp_path / "a", seed=31)
         cfg_b = _config(tmp_path / "b", seed=31)
-        assert main(["run", "--config", cfg_a, "--workers", "1"]) == 0
-        assert main(["run", "--config", cfg_b, "--workers", "2"]) == 0
+        assert main(["run", "--config", cfg_a, "--workers", "1", "--dump-beats"]) == 0
+        assert main(["run", "--config", cfg_b, "--workers", "2", "--dump-beats"]) == 0
         out_a = json.load(open(cfg_a))["out_dir"]
         out_b = json.load(open(cfg_b))["out_dir"]
         hashes = _tree_hashes(out_a)
         assert any(name.startswith("residuals") for name in hashes)
+        assert any(name.startswith("beats") for name in hashes)
         assert hashes == _tree_hashes(out_b)
 
 
@@ -270,6 +271,23 @@ class TestWindowIds:
         assert not (out / "residuals").exists() and not (out / "windows.json").exists()
 
 
+class TestStaleManifest:
+    def test_recordings_run_ignores_old_synth_records(self, tmp_path):
+        # a synth run left records/manifest.json in the out_dir
+        assert main(["synth", "--out", str(tmp_path / "out"), "--n-af", "1", "--n-sinus", "1"]) == 0
+        fs = 200
+        rec_path = tmp_path / "r.fwk"
+        write_recording(EcgRecording(samples=0.1 * np.sin(np.arange(130 * fs) * 0.05), fs=fs,
+                                     record_id="hol0"), rec_path, fmt="binary")
+        ann_path = tmp_path / "r.json"
+        ann_path.write_text(json.dumps([{"onset": 0, "offset": 65 * fs, "label": "AF"},
+                                        {"onset": 65 * fs, "offset": 130 * fs, "label": "non-AF"}]))
+        cfg = PipelineConfig.from_dict({"out_dir": str(tmp_path / "out"), "recordings": [
+            {"recording": str(rec_path), "annotation": str(ann_path)}]})
+        jobs, _ = _window_jobs(cfg)
+        assert [wid for wid, *_ in jobs] == ["hol0_w000000000", "hol0_w000013000"]
+
+
 class TestNonAfDraws:
     @staticmethod
     def _nonaf_starts(tmp_path, seed):
@@ -294,7 +312,7 @@ class TestNonAfDraws:
         )
         jobs, _ = _window_jobs(cfg)
         starts = {"rec0": [], "rec1": []}
-        for wid, _, _, label, _ in jobs:
+        for wid, _, _, label in jobs:
             if label == "non-AF":
                 rid, start = wid.split("_w")
                 starts[rid].append(int(start))
@@ -321,11 +339,24 @@ class TestExitCodes:
         ("synth", [], "synth"),
         ("filter", {"band_low": "0.5"}, "filter.band_low"),
         ("filter", {"bogus": 1}, "bogus"),
+        ("extractors", [], "extractors"),
+        ("extractors", ["TS_B", "TS_B", "TS_CE"], "extractors"),
+        ("voting_set", [], "voting_set"),
+        ("voting_set", ["TS_B", "TS_B"], "voting_set"),
+        ("synth", {"n_af": "x"}, "synth.n_af"),
+        ("synth", {"bogus": 1}, "bogus"),
+        ("synth", {"f0_range": [5.0]}, "synth.f0_range"),
+        ("synth", {"f0_range": [11.0, 4.0]}, "synth.f0_range"),
     ])
     def test_bad_value_is_2(self, tmp_path, capsys, key, value, needle):
         cfg = _config(tmp_path, **{key: value})
         assert main(["run", "--config", cfg]) == 2
         _one_line_error(capsys, needle)
+
+    def test_reversed_f0_flags_are_2(self, tmp_path, capsys):
+        argv = ["synth", "--out", str(tmp_path / "o"), "--f0-min", "11", "--f0-max", "4"]
+        assert main(argv) == 2
+        _one_line_error(capsys, "synth.f0_range")
 
     def test_config_error_is_2(self, tmp_path):
         cfg = _config(tmp_path, bogus_key=1)
@@ -345,6 +376,12 @@ class TestExitCodes:
         cfg = _config(tmp_path, bsqi_segment_s=2, synth={"n_af": 3, "n_sinus": 3})
         assert main(["run", "--config", cfg]) == 2
         _one_line_error(capsys, "bsqi_segment_s", "5 s")
+
+    def test_infeasible_filter_is_2(self, tmp_path, capsys):
+        # synth records are filtered like recordings, before any window is gated
+        cfg = _config(tmp_path, filter={"band_low": 95.0}, synth={"n_af": 3, "n_sinus": 3})
+        assert main(["run", "--config", cfg]) == 2
+        _one_line_error(capsys, "infeasible passband [95.0, 90.0] Hz at fs=200.0")
 
     def test_impossible_threshold_excludes_everything(self, tmp_path, capsys):
         cfg = _config(tmp_path, bsqi_threshold=1.01,
@@ -391,12 +428,27 @@ class TestEvalOnFeatureTable:
         assert "NaN" not in text, text
         assert json.loads(text)["vote"]["auroc"] == pytest.approx(1.0)
 
+    def test_window_lacking_a_voting_method_is_exit_1(self, tmp_path, capsys):
+        rows = ["window_id,method,daf_hz,label,split"]
+        for i in range(12):
+            split = "train" if i < 8 else "test"
+            for wid, daf, label in ((f"af{i:02d}", 6.0, "AF"), (f"ns{i:02d}", 10.0, "non-AF")):
+                for method in ("TS_B", "TS_CE"):
+                    if (wid, method) != ("ns03", "TS_CE"):
+                        rows.append(f"{wid},{method},{daf + i / 100},{label},{split}")
+        feat = tmp_path / "features.csv"
+        feat.write_text("\n".join(rows) + "\n")
+        assert main(["eval", "--features", str(feat), "--out", str(tmp_path / "o")]) == 1
+        _one_line_error(capsys, "window ns03", "TS_CE", prefix="error: ")
+
     @pytest.mark.parametrize("data, needle", [
         (b"window_id,method,label,split\nw0,vote,AF,train\n", "daf_hz"),
         (b"window_id,method,daf_hz,label,split\nw0,vote,6.1,AF,train\n"
          b"w1,vote,six,AF,train\n", "line 3"),
         (b"window_id,method,daf_hz,label,split\nw0,vote,6.1,AF,tr\xe4in\n", "utf-8"),
-    ], ids=["no_daf_column", "non_numeric", "non_utf8"])
+        (b"window_id,method,daf_hz,label,split\nw0,vote,6.1,AF,train\n"
+         b"w0,vote,6.2,AF,train\n", "line 3"),
+    ], ids=["no_daf_column", "non_numeric", "non_utf8", "repeated_row"])
     def test_malformed_table_is_exit_1(self, tmp_path, capsys, data, needle):
         feat = tmp_path / "features.csv"
         feat.write_bytes(data)

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -354,7 +356,8 @@ class TestMatchesReference:
 
 
 class TestOneBeatMatrixPerWindow:
-    def test_one_call_per_analysed_window(self, af_record, monkeypatch):
+    def test_one_call_per_analysed_window(self, af_record_filtered, af_record, monkeypatch,
+                                          tmp_path):
         calls = []
 
         def counted(x, beats, min_beats):
@@ -362,8 +365,12 @@ class TestOneBeatMatrixPerWindow:
             return beat_matrix(x, beats, min_beats)
 
         monkeypatch.setattr(fwave.pipeline, "beat_matrix", counted)
+        (tmp_path / "residuals").mkdir()
         out = _process_window(
-            ("w0", af_record.ecg, af_record.fs, "AF", PipelineConfig(), False)
+            ("w0", af_record_filtered, af_record.fs, "AF", PipelineConfig(out_dir=str(tmp_path)))
         )
-        assert sorted(out["residuals"]) == sorted(METHODS), out
+        assert out == {"window_id": "w0", "label": "AF", "fs": af_record.fs}
+        assert sorted(os.listdir(tmp_path / "residuals")) == sorted(
+            f"w0__{m}.fwk" for m in METHODS
+        )
         assert len(calls) == 1
