@@ -3,9 +3,11 @@
 A small random forest is grown from scratch on the single scalar DAF
 feature (bootstrap-sampled, Gini-split threshold trees), which keeps
 training fully deterministic for a given seed. Each node finds its
-split by one prefix-sum sweep over the sorted feature, and each tree
-predicts a whole test vector at once. AUROC uses the rank
-statistic (Mann-Whitney), ties counting 0.5.
+split by one prefix-sum sweep over the sorted feature. Over one scalar
+feature every tree is a step function, and so is their average: the
+trained forest is a sorted array of breakpoints with one AF probability
+per interval, and prediction is one ``searchsorted``. AUROC uses the
+rank statistic (Mann-Whitney), ties counting 0.5.
 """
 
 import csv
@@ -116,13 +118,14 @@ class FeatureTable:
 
 @dataclass
 class RandomForestModel:
-    trees: list
-    n_trees: int
-    max_depth: int
-    rng_seed: int
+    """The forest as a step function: a value ``v`` gets
+    ``probs[searchsorted(breaks, v)]``, so ``probs`` has one entry more
+    than ``breaks`` and values on a break take the interval below it."""
+
+    breaks: np.ndarray
+    probs: np.ndarray
     method: str
-    degenerate: bool = False
-    prior: float = 0.5
+    n_train: int
 
 
 @dataclass
@@ -177,14 +180,16 @@ def stratified_split(table: FeatureTable, train_frac: float = 0.8, rng_seed: int
 # --- random forest on a single scalar feature ------------------------------
 
 def _grow_tree(x, y, depth, max_depth):
-    """Nodes are (threshold, left, right); leaves are float AF fractions."""
+    """A tree as its in-order lists (thresholds, leaves): a value takes
+    the leaf indexed by the count of thresholds below it, as it goes left
+    at every threshold it does not exceed. Leaves are float AF fractions."""
     if depth >= max_depth or len(np.unique(y)) == 1:
-        return float(np.mean(y))
+        return [], [float(np.mean(y))]
     order = np.argsort(x, kind="stable")
     xs, ys = x[order], y[order]
     uniq = np.unique(xs)
     if len(uniq) < 2:
-        return float(np.mean(y))
+        return [], [float(np.mean(y))]
     # the split after uniq[i] puts every row <= uniq[i] on the left, a
     # prefix of the sorted rows: row 0 of n and k holds the left sizes
     # and AF counts, row 1 the right
@@ -205,19 +210,9 @@ def _grow_tree(x, y, depth, max_depth):
     if not thr < hi:  # the midpoint of two adjacent floats rounded up
         thr = lo
     n_left = nl[best_i]
-    return (
-        float(thr),
-        _grow_tree(xs[:n_left], ys[:n_left], depth + 1, max_depth),
-        _grow_tree(xs[n_left:], ys[n_left:], depth + 1, max_depth),
-    )
-
-
-def _tree_output(node, x):
-    """A tree's leaf value for every element of ``x``."""
-    if not isinstance(node, tuple):
-        return node
-    thr, left, right = node
-    return np.where(x <= thr, _tree_output(left, x), _tree_output(right, x))
+    left_thr, left_leaves = _grow_tree(xs[:n_left], ys[:n_left], depth + 1, max_depth)
+    right_thr, right_leaves = _grow_tree(xs[n_left:], ys[n_left:], depth + 1, max_depth)
+    return left_thr + [float(thr)] + right_thr, left_leaves + right_leaves
 
 
 def train_rf(
@@ -227,36 +222,30 @@ def train_rf(
     max_depth: int = 4,
     rng_seed: int = 0,
 ) -> RandomForestModel:
-    """Bootstrap-sampled threshold trees over the scalar DAF feature."""
+    """Bootstrap-sampled threshold trees over the scalar DAF feature,
+    averaged into one step function. A feature with a single value
+    predicts the training AF fraction."""
     x, y, _ = table.select(method=method, split="train")
     if len(x) == 0:
         raise ConfigError(f"no training rows for method {method!r}")
-    prior = float(np.mean(y))
     if len(np.unique(x)) == 1:
-        return RandomForestModel(
-            trees=[], n_trees=n_trees, max_depth=max_depth, rng_seed=rng_seed,
-            method=method, degenerate=True, prior=prior,
-        )
-    children = np.random.SeedSequence(rng_seed).spawn(n_trees)
+        return RandomForestModel(np.empty(0), np.array([np.mean(y)]), method, len(x))
     trees = []
-    for seq in children:
-        rng = np.random.default_rng(seq)
-        idx = rng.integers(0, len(x), size=len(x))
+    for seq in np.random.SeedSequence(rng_seed).spawn(n_trees):
+        idx = np.random.default_rng(seq).integers(0, len(x), size=len(x))
         trees.append(_grow_tree(x[idx], y[idx], 0, max_depth))
-    return RandomForestModel(
-        trees=trees, n_trees=n_trees, max_depth=max_depth, rng_seed=rng_seed,
-        method=method, prior=prior,
-    )
+    breaks = np.unique(np.concatenate([thr for thr, _ in trees]))
+    # every tree is constant between breaks: take its leaf at each
+    # break and above the last, adding the trees in order
+    points = np.append(breaks, np.inf)
+    total = np.zeros(len(points))
+    for thr, leaves in trees:
+        total += np.array(leaves)[np.searchsorted(thr, points)]
+    return RandomForestModel(breaks, total / n_trees, method, len(x))
 
 
 def predict_proba(model: RandomForestModel, x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if model.degenerate:
-        return np.full(len(x), model.prior)
-    out = np.zeros(len(x))
-    for tree in model.trees:
-        out += _tree_output(tree, x)
-    return out / len(model.trees)
+    return model.probs[np.searchsorted(model.breaks, np.asarray(x, dtype=np.float64))]
 
 
 def auroc_rank(scores, labels) -> float:
@@ -281,7 +270,6 @@ def evaluate_model(
     x_test, y_test, _ = table.select(method=model.method, split="test")
     if len(x_test) == 0:
         raise ConfigError(f"no test rows for method {model.method!r}")
-    x_train, _, _ = table.select(method=model.method, split="train")
     probs = predict_proba(model, x_test)
     pred = probs >= threshold
     tp = int(np.sum(pred & (y_test == 1)))
@@ -296,7 +284,7 @@ def evaluate_model(
         sensitivity=sens,
         ppv=ppv,
         threshold=threshold,
-        n_train=len(x_train),
+        n_train=model.n_train,
         n_test=len(x_test),
     )
 

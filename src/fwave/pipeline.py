@@ -151,6 +151,14 @@ class PipelineConfig:
             raise ConfigError("window_s must be positive")
         if self.bsqi_segment_s < 5:
             raise ConfigError("bsqi_segment_s must be at least 5 s")
+        if not self.bsqi_match_tol_ms >= 0:
+            raise ConfigError("bsqi_match_tol_ms must be >= 0")
+        if not 0 < self.welch_seg_s:
+            raise ConfigError("welch_seg_s must be positive")
+        if not 0 <= self.welch_overlap < 1:
+            raise ConfigError("welch_overlap must lie in [0, 1)")
+        if self.rf_n_trees < 1:
+            raise ConfigError("rf_n_trees must be >= 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if self.min_beats < 1:

@@ -74,6 +74,9 @@ def notch_zero_phase(x, fs: float, spec: FilterSpec | None = None) -> np.ndarray
         raise ConfigError(
             f"notch at {spec.notch_freq} Hz infeasible for fs={fs} (Nyquist {fs / 2})"
         )
+    for key, value in (("notch_freq", spec.notch_freq), ("notch_q", spec.notch_q)):
+        if not value > 0:
+            raise ConfigError(f"filter.{key} must be positive, not {value}")
     b, a = sig.iirnotch(spec.notch_freq, spec.notch_q, fs=fs)
     if len(x) <= 12:
         raise SignalTooShortError(f"signal of {len(x)} samples too short for notch")

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal as sig
 
-from .errors import SignalTooShortError, VotingError
+from .errors import ConfigError, SignalTooShortError, VotingError
 
 DAF_BAND = (4.0, 12.0)
 DEFAULT_SEG_S = 10.0
@@ -45,6 +45,12 @@ def welch_psd(
     """
     x = np.asarray(x, dtype=np.float64)
     nperseg = int(round(seg_s * fs))
+    noverlap = int(round(overlap * nperseg))
+    if not 0 <= noverlap < nperseg:
+        raise ConfigError(
+            f"welch_seg_s={seg_s} with welch_overlap={overlap} at fs={fs} gives "
+            f"{nperseg}-sample segments overlapping by {noverlap}"
+        )
     if len(x) < nperseg:
         raise SignalTooShortError(
             f"signal of {len(x) / fs:.1f} s shorter than one {seg_s} s segment"
@@ -56,7 +62,7 @@ def welch_psd(
         fs=fs,
         window="hamming",
         nperseg=nperseg,
-        noverlap=int(round(overlap * nperseg)),
+        noverlap=noverlap,
         nfft=nfft,
         detrend=False,
         scaling="density",
@@ -78,8 +84,9 @@ def estimate_daf(
     eps = 1e-9
     mask = (ps.freqs >= band_low - eps) & (ps.freqs <= band_high + eps)
     if not np.any(mask):
-        raise ValueError(
-            f"spectrum does not cover the [{band_low}, {band_high}] Hz band"
+        raise ConfigError(
+            f"spectrum of {ps.resolution:g} Hz bins up to {ps.freqs[-1]:g} Hz has no bin "
+            f"in the [{band_low}, {band_high}] Hz band; check welch_seg_s"
         )
     band_f = ps.freqs[mask]
     band_p = ps.power[mask]

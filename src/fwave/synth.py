@@ -216,29 +216,18 @@ def generate_corpus(
     children = seq.spawn(n_af + n_sinus)
     master = np.random.default_rng(seq.spawn(1)[0])
     out = []
-    for i in range(n_af):
+    for i, af in enumerate([True] * n_af + [False] * n_sinus):
         cfg = SynthConfig(
             fs=fs,
             duration_s=duration_s,
-            rhythm="AF",
-            mean_hr_bpm=master.uniform(70, 95),
-            fwave_f0=master.uniform(f0_range[0], f0_range[1]),
+            rhythm="AF" if af else "sinus",
+            # keyword arguments run in order: the heart rate is drawn first
+            mean_hr_bpm=master.uniform(70, 95) if af else master.uniform(55, 85),
+            fwave_f0=master.uniform(f0_range[0], f0_range[1]) if af else None,
             fwave_amp_mv=fwave_amp_mv,
             noise_rms_mv=noise_rms_mv,
             artifact_rms_mv=artifact_rms_mv,
             rng_seed=children[i].generate_state(1)[0],
         )
-        out.append((generate(cfg), "AF"))
-    for i in range(n_sinus):
-        cfg = SynthConfig(
-            fs=fs,
-            duration_s=duration_s,
-            rhythm="sinus",
-            mean_hr_bpm=master.uniform(55, 85),
-            fwave_amp_mv=fwave_amp_mv,
-            noise_rms_mv=noise_rms_mv,
-            artifact_rms_mv=artifact_rms_mv,
-            rng_seed=children[n_af + i].generate_state(1)[0],
-        )
-        out.append((generate(cfg), "non-AF"))
+        out.append((generate(cfg), "AF" if af else "non-AF"))
     return out

@@ -347,9 +347,28 @@ class TestExitCodes:
         ("synth", {"bogus": 1}, "bogus"),
         ("synth", {"f0_range": [5.0]}, "synth.f0_range"),
         ("synth", {"f0_range": [11.0, 4.0]}, "synth.f0_range"),
+        ("rf_n_trees", 0, "rf_n_trees"),
+        ("welch_seg_s", 0, "welch_seg_s"),
+        ("welch_overlap", 1.0, "welch_overlap"),
+        ("welch_overlap", -0.5, "welch_overlap"),
+        ("bsqi_match_tol_ms", -5, "bsqi_match_tol_ms"),
     ])
     def test_bad_value_is_2(self, tmp_path, capsys, key, value, needle):
         cfg = _config(tmp_path, **{key: value})
+        assert main(["run", "--config", cfg]) == 2
+        _one_line_error(capsys, needle)
+
+    @pytest.mark.parametrize("key, value, needle", [
+        ("welch_seg_s", 0.02, "welch_seg_s"),  # no Welch bin in the DAF band
+        ("welch_seg_s", 0.001, "welch_seg_s"),  # segments of zero samples
+        ("filter", {"notch_freq": 0}, "filter.notch_freq"),
+        ("filter", {"notch_freq": -60}, "filter.notch_freq"),
+        ("filter", {"notch_q": 0}, "filter.notch_q"),
+        ("filter", {"notch_q": -1}, "filter.notch_q"),
+    ])
+    def test_unbuildable_filter_or_spectrum_is_2(self, tmp_path, capsys, key, value, needle):
+        cfg = _config(tmp_path, synth={"n_af": 3, "n_sinus": 3, "duration_s": 30.0},
+                      **{key: value})
         assert main(["run", "--config", cfg]) == 2
         _one_line_error(capsys, needle)
 

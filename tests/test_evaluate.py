@@ -58,10 +58,32 @@ def _gini(y):
     return 2.0 * p * (1.0 - p)
 
 
-def _predict_reference(model, x):
+def _steps(tree):
+    """A nested (threshold, left, right) tree as the in-order
+    (thresholds, leaves) lists that fwave.evaluate._grow_tree returns."""
+    if not isinstance(tree, tuple):
+        return [], [tree]
+    thr, left, right = tree
+    left_thr, left_leaves = _steps(left)
+    right_thr, right_leaves = _steps(right)
+    return left_thr + [thr] + right_thr, left_leaves + right_leaves
+
+
+def _reference_forest(table, method, n_trees=100, max_depth=4, rng_seed=0):
+    """The nested trees _grow_tree_reference grows on train_rf's bootstrap
+    samples."""
+    x, y, _ = table.select(method=method, split="train")
+    trees = []
+    for seq in np.random.SeedSequence(rng_seed).spawn(n_trees):
+        idx = np.random.default_rng(seq).integers(0, len(x), size=len(x))
+        trees.append(_grow_tree_reference(x[idx], y[idx], 0, max_depth))
+    return trees
+
+
+def _predict_reference(trees, x):
     """One walk from the root per (tree, value), summed in tree order."""
     out = np.zeros(len(x))
-    for tree in model.trees:
+    for tree in trees:
         values = []
         for v in x:
             node = tree
@@ -70,20 +92,22 @@ def _predict_reference(model, x):
                 node = left if v <= thr else right
             values.append(node)
         out += values
-    return out / len(model.trees)
+    return out / len(trees)
 
 
 @st.composite
 def _tree_inputs(draw):
-    """A feature vector (continuous, on the Welch grid, or a handful of
-    repeated values), 0/1 labels and a depth limit."""
+    """A feature vector (continuous, on the Welch grid, a handful of
+    repeated values or a single one), 0/1 labels and a depth limit."""
     n = draw(st.integers(2, 200))
-    kind = draw(st.sampled_from(["continuous", "welch", "repeated"]))
+    kind = draw(st.sampled_from(["continuous", "welch", "repeated", "single"]))
     if kind == "continuous":
         x = draw(st.lists(st.floats(4.0, 12.0), min_size=n, max_size=n))
     elif kind == "welch":
         bins = draw(st.lists(st.integers(164, 492), min_size=n, max_size=n))
         x = [k * WELCH_BIN_HZ for k in bins]
+    elif kind == "single":
+        x = [draw(st.floats(4.0, 12.0))] * n
     else:
         pool = draw(st.lists(st.floats(4.0, 12.0).map(lambda v: round(v, 6)),
                              min_size=1, max_size=5))
@@ -204,7 +228,8 @@ class TestRandomForest:
         t = _table([6.0] * 20, [6.0] * 20)
         t = stratified_split(t, rng_seed=0)
         model = train_rf(t, "vote", rng_seed=0)
-        assert model.degenerate
+        x = np.array([4.0, 6.0, np.nextafter(6.0, 7.0), 12.0])
+        assert np.array_equal(predict_proba(model, x), np.full(4, 0.5))  # 16 of 32 train AF
         m = evaluate_model(model, t)
         assert m.auroc == pytest.approx(0.5)
 
@@ -236,8 +261,8 @@ class TestRandomForest:
         # where _grow_tree splits at the lower one (see the test below)
         u = np.unique(x)
         assume(np.all((u[:-1] + u[1:]) / 2.0 < u[1:]))
-        assert fwave.evaluate._grow_tree(x, y, 0, max_depth) == _grow_tree_reference(
-            x, y, 0, max_depth
+        assert fwave.evaluate._grow_tree(x, y, 0, max_depth) == _steps(
+            _grow_tree_reference(x, y, 0, max_depth)
         )
 
     def test_adjacent_floats_split_without_nan(self):
@@ -245,28 +270,44 @@ class TestRandomForest:
         assert (lo + 12.0) / 2.0 == 12.0  # the midpoint rounds onto the upper value
         x = np.array([12.0, lo, 12.0, lo])
         y = np.array([1, 0, 1, 0])
-        assert fwave.evaluate._grow_tree(x, y, 0, 4) == (lo, 0.0, 1.0)
+        assert fwave.evaluate._grow_tree(x, y, 0, 4) == ([lo], [0.0, 1.0])
 
     def test_predict_proba_matches_per_value_walk(self):
         rng = np.random.default_rng(6)
         t = _table(rng.uniform(5, 9, 40), rng.uniform(7, 11, 40))
         t = stratified_split(t, rng_seed=2)
         model = train_rf(t, "vote", rng_seed=2)
-        thresholds = []
-        stack = list(model.trees)
-        while stack:
-            node = stack.pop()
-            if isinstance(node, tuple):
-                thresholds.append(node[0])
-                stack.extend(node[1:])
+        trees = _reference_forest(t, "vote", rng_seed=2)
+        thresholds = [thr for tree in trees for thr in _steps(tree)[0]]
         # values on a threshold take the left branch
         x = np.concatenate([rng.uniform(3, 13, 200), thresholds])
-        assert np.array_equal(predict_proba(model, x), _predict_reference(model, x))
+        assert np.array_equal(predict_proba(model, x), _predict_reference(trees, x))
+
+    @given(_tree_inputs(), st.integers(1, 30), st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_predict_proba_is_the_reference_forest(self, case, n_trees, seed, data):
+        x, y, max_depth = case
+        u = np.unique(x)
+        assume(np.all((u[:-1] + u[1:]) / 2.0 < u[1:]))  # as in the grower test above
+        t = FeatureTable([f"w{i:03d}" for i in range(len(x))], ["vote"] * len(x), list(x),
+                         ["AF" if v else "non-AF" for v in y], ["train"] * len(x))
+        model = train_rf(t, "vote", n_trees=n_trees, max_depth=max_depth, rng_seed=seed)
+        q = np.array(data.draw(st.lists(st.floats(3.0, 13.0), max_size=50)), dtype=np.float64)
+        q = np.concatenate([q, model.breaks, np.nextafter(model.breaks, -np.inf),
+                            np.nextafter(model.breaks, np.inf)])
+        if len(u) == 1:  # no split exists: the forest predicts the training AF fraction
+            expected = np.full(len(q), np.mean(y))
+        else:
+            expected = _predict_reference(
+                _reference_forest(t, "vote", n_trees, max_depth, seed), q
+            )
+        assert np.array_equal(predict_proba(model, q), expected)
 
     def test_stage_eval_bytes_match_reference_forest(self, tmp_path, monkeypatch):
         table = _eval_table(seed=4)
         stage_eval(PipelineConfig(out_dir=str(tmp_path / "new"), seed=4), table=table)
-        monkeypatch.setattr(fwave.evaluate, "_grow_tree", _grow_tree_reference)
+        monkeypatch.setattr(fwave.evaluate, "_grow_tree",
+                            lambda *args: _steps(_grow_tree_reference(*args)))
         stage_eval(PipelineConfig(out_dir=str(tmp_path / "ref"), seed=4), table=table)
         for name in ("features.csv", "metrics.json", "report.txt"):
             assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes(), name

@@ -104,6 +104,15 @@ class TestNotch:
         y = prefilter(x, 100.0)
         assert len(y) == len(x)
 
+    @pytest.mark.parametrize("key, value", [("notch_freq", 0.0), ("notch_freq", -60.0),
+                                            ("notch_q", 0.0), ("notch_q", -1.0)])
+    def test_unbuildable_notch_raises_unless_disabled(self, key, value):
+        x = _tone(10.0, duration=40.0)
+        with pytest.raises(ConfigError, match=f"filter.{key}"):
+            prefilter(x, FS, FilterSpec(**{key: value}))
+        y = prefilter(x, FS, FilterSpec(**{key: value, "notch_enabled": False}))
+        assert np.array_equal(y, prefilter(x, FS, FilterSpec(notch_enabled=False)))
+
 
 class TestBsqiFormula:
     def test_perfect_agreement(self):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fwave.errors import SignalTooShortError, VotingError
+from fwave.errors import ConfigError, SignalTooShortError, VotingError
 from fwave.spectral import (
     DafEstimate,
     PowerSpectrum,
@@ -105,7 +105,7 @@ class TestEstimateDaf:
     def test_band_not_covered_raises(self):
         ps = PowerSpectrum(freqs=np.array([0.0, 1.0]), power=np.array([1.0, 1.0]),
                            resolution=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="welch_seg_s"):
             estimate_daf(ps)
 
 
