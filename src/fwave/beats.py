@@ -67,38 +67,39 @@ def adaptive_scan(feat, min_dist, init_len, searchback):
     sub-threshold local maximum since the last accepted peak is taken
     at half threshold; this recovers low-amplitude beats without
     lowering the threshold for the whole record.
+
+    The scan is event-driven (the peak-wise form of Pan & Tompkins, 1985)
+    and returns what a walk over every sample returns: it visits the local
+    maxima, the sample before each and the last sample ``n - 2``, since
+    between two maxima only searchback acts and its condition only grows.
     """
     n = feat.shape[0]
-    out = np.empty(n, dtype=np.int64)
-    m = 0
     lim = min(init_len, n)
-    fmax = 0.0
-    fsum = 0.0
-    for j in range(lim):
-        v = feat[j]
-        fsum += v
-        if v > fmax:
-            fmax = v
-    if fmax <= 0.0:
+    spk = float(feat[:lim].max()) if lim else 0.0
+    if spk <= 0.0:
         # flat or empty feature: nothing can ever cross a positive threshold
-        return out[:m]
-    spk = fmax
-    npk = 0.5 * fsum / lim
+        return np.empty(0, dtype=np.int64)
+    # cumsum adds in sample order, as a running sum would; np.sum does not
+    npk = 0.5 * float(np.cumsum(feat[:lim])[-1]) / lim
     thr = npk + 0.25 * (spk - npk)
+    mid = feat[1:-1]
+    peaks = np.flatnonzero((mid >= feat[:-2]) & (mid > feat[2:])) + 1
+    at = np.c_[peaks - 1, peaks].ravel().tolist() + [n - 2]
+    vals = [None] * len(at)  # None: only the searchback check
+    vals[1::2] = feat[peaks].tolist()
+    out = []
     last = 0
     best_v = 0.0
     best_i = -1
-    for i in range(1, n - 1):
-        if feat[i] >= feat[i - 1] and feat[i] > feat[i + 1]:
-            v = feat[i]
+    for i, v in zip(at, vals):
+        if v is not None:
             if v > thr:
                 # peaks inside the refractory window belong to the same
                 # beat: neither signal nor noise, so they leave the
                 # running estimates untouched
-                if m == 0 or i - last >= min_dist:
+                if not out or i - last >= min_dist:
                     spk = 0.125 * v + 0.875 * spk
-                    out[m] = i
-                    m += 1
+                    out.append(i)
                     last = i
                     best_v = 0.0
                     best_i = -1
@@ -110,13 +111,12 @@ def adaptive_scan(feat, min_dist, init_len, searchback):
             thr = npk + 0.25 * (spk - npk)
         if i - last > searchback and best_i > 0 and best_v > 0.5 * thr:
             spk = 0.25 * best_v + 0.75 * spk
-            out[m] = best_i
-            m += 1
+            out.append(best_i)
             last = best_i
             best_v = 0.0
             best_i = -1
             thr = npk + 0.25 * (spk - npk)
-    return out[:m]
+    return np.array(out, dtype=np.int64)
 
 
 def _scan(feat, fs: float) -> np.ndarray:

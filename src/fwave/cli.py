@@ -96,27 +96,23 @@ def _config(args) -> pipeline.PipelineConfig:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        cfg = _config(args)
         if args.command == "run":
-            cfg = _config(args)
             report = pipeline.run_pipeline(cfg)
             print(json.dumps({"voting_set": report["voting_set"], "out_dir": cfg.out_dir}))
         elif args.command == "synth":
-            cfg = _config(args)
             manifest = pipeline.stage_synth(cfg)
             print(f"wrote {len(manifest)} records to {cfg.out_dir}/records")
         elif args.command == "extract":
-            cfg = _config(args)
             res = pipeline.stage_extract(cfg)
             n_excl = len(res["exclusions"]["windows"])
             print(f"{len(res['windows'])} usable windows, {n_excl} excluded")
             if not res["windows"]:
                 raise NoUsableWindowsError("all windows excluded")
         elif args.command == "daf":
-            cfg = _config(args)
             table = pipeline.stage_daf(cfg)
             print(f"estimated {len(table)} DAF values -> {cfg.out_dir}/daf.csv")
         elif args.command == "eval":
-            cfg = _config(args)
             table = None
             if getattr(args, "features", None):
                 from .evaluate import FeatureTable

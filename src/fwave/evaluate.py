@@ -14,7 +14,6 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .errors import ConfigError, FormatError
 
@@ -256,8 +255,12 @@ def auroc_rank(scores, labels) -> float:
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         return 0.5
-    ranks = stats.rankdata(scores)
-    r_pos = float(np.sum(ranks[labels == 1]))
+    order = np.argsort(scores, kind="stable")
+    ranked = scores[order]
+    # each run of equal scores shares the mean of its 1-based ranks
+    edges = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1], True])
+    ranks = np.repeat((edges[:-1] + 1 + edges[1:]) / 2.0, np.diff(edges))
+    r_pos = float(np.sum(ranks[labels[order] == 1]))  # sums of halves are exact in any order
     return (r_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 

@@ -25,6 +25,7 @@ NoUsableWindowsError (CLI exit code 3).
 """
 
 import json
+import math
 import numbers
 import os
 import types
@@ -87,6 +88,9 @@ def _check_type(key, value, tp) -> None:
             f"config key {key} must be {' or '.join(_JSON_TYPES[t] for t in want)}, "
             f"not {_JSON_TYPES.get(type(value), type(value).__name__)}"
         )
+    if isinstance(value, float) and not math.isfinite(value):
+        # JSON's NaN and Infinity slip through range checks such as `x < 5`
+        raise ConfigError(f"config key {key} must be a finite number, not {value}")
 
 
 def _check_types(obj, prefix="") -> None:
@@ -131,9 +135,11 @@ class PipelineConfig:
                 raise ConfigError(f"unknown synth config key {key!r}")
             _check_type(f"synth.{key}", value, _SYNTH_TYPES[key])
             if key == "f0_range" and not (
-                len(value) == 2 and all(_type_ok(f, float) for f in value) and value[0] <= value[1]
+                len(value) == 2 and all(_type_ok(f, float) and math.isfinite(f) for f in value)
+                and value[0] <= value[1]
             ):
-                raise ConfigError("config key synth.f0_range must be two numbers [low, high]")
+                raise ConfigError("config key synth.f0_range must be two finite numbers "
+                                  "[low, high]")
         for m in self.extractors:
             if m not in METHODS:
                 raise ConfigError(f"unknown extractor {m!r}")
@@ -157,12 +163,9 @@ class PipelineConfig:
             raise ConfigError("welch_seg_s must be positive")
         if not 0 <= self.welch_overlap < 1:
             raise ConfigError("welch_overlap must lie in [0, 1)")
-        if self.rf_n_trees < 1:
-            raise ConfigError("rf_n_trees must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
-        if self.min_beats < 1:
-            raise ConfigError("min_beats must be >= 1")
+        for key in ("rf_n_trees", "rf_max_depth", "workers", "min_beats"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.record_format not in ("csv", "binary"):
@@ -525,11 +528,8 @@ def _write_text_report(cfg, report, methods) -> None:
     lines.append("")
     lines.append("AF/non-AF classification on the test split")
     lines.append(f"  {'Method':<10} {'F1':>6} {'AUROC':>7}")
-    for m in methods:
-        r = report[m]
-        lines.append(f"  {m:<10} {r['f1']:>6.2f} {r['auroc']:>7.2f}")
-    r = report["vote"]
-    lines.append(f"  {'vote':<10} {r['f1']:>6.2f} {r['auroc']:>7.2f}")
+    for m in methods + ["vote"]:
+        lines.append(f"  {m:<10} {report[m]['f1']:>6.2f} {report[m]['auroc']:>7.2f}")
     lines.append(f"  voting set: {', '.join(report['voting_set'])}")
     lines.append("")
     lines.append("Reference values from the original clinical Holter study")

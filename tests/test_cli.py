@@ -352,6 +352,17 @@ class TestExitCodes:
         ("welch_overlap", 1.0, "welch_overlap"),
         ("welch_overlap", -0.5, "welch_overlap"),
         ("bsqi_match_tol_ms", -5, "bsqi_match_tol_ms"),
+        ("rf_max_depth", -3, "rf_max_depth"),
+        ("rf_max_depth", 0, "rf_max_depth"),
+        ("bsqi_segment_s", float("nan"), "bsqi_segment_s"),
+        ("bsqi_threshold", float("nan"), "bsqi_threshold"),
+        ("window_s", float("inf"), "window_s"),
+        ("welch_seg_s", float("-inf"), "welch_seg_s"),
+        ("filter", {"band_high": float("nan")}, "filter.band_high"),
+        ("filter", {"notch_q": float("inf")}, "filter.notch_q"),
+        ("synth", {"duration_s": float("inf")}, "synth.duration_s"),
+        ("synth", {"noise_rms_mv": float("nan")}, "synth.noise_rms_mv"),
+        ("synth", {"f0_range": [4.0, float("inf")]}, "synth.f0_range"),
     ])
     def test_bad_value_is_2(self, tmp_path, capsys, key, value, needle):
         cfg = _config(tmp_path, **{key: value})

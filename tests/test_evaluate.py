@@ -356,6 +356,30 @@ class TestAuroc:
         b = auroc_rank(np.exp(3.0 * scores), labels)
         assert a == pytest.approx(b, abs=1e-12)
 
+    @given(
+        st.one_of(
+            # a small grid: many ties, and all-equal rows
+            st.lists(st.tuples(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.integers(0, 1)),
+                     min_size=2, max_size=40),
+            st.lists(st.tuples(st.floats(-1e6, 1e6), st.integers(0, 1)),
+                     min_size=2, max_size=40),
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    @example([(0.5, 1), (0.5, 0)])
+    @example([(0.7, 0), (0.2, 1)])
+    @example([(1.0, 1)] * 3 + [(1.0, 0)] * 5)
+    def test_equals_scipy_rankdata(self, rows):
+        """Bit for bit what scipy's tie-averaged ranks give."""
+        from scipy import stats
+
+        scores, labels = (np.array(col) for col in zip(*rows))
+        n_pos = int(labels.sum())
+        assume(0 < n_pos < len(labels))
+        r_pos = float(np.sum(stats.rankdata(scores)[labels == 1]))
+        expected = (r_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * (len(labels) - n_pos))
+        assert auroc_rank(scores, labels) == expected
+
 
 class TestEvaluateModel:
     def test_hand_computed_f1(self):

@@ -2,14 +2,19 @@
 
 ``_moving_average_loop`` is the running-sum moving average written out
 sample by sample; it is the oracle for the convolution in
-``beats.moving_average``.
+``beats.moving_average``. ``_adaptive_scan_loop`` is the adaptive
+threshold scan written out sample by sample; it is the oracle for the
+event-driven ``beats.adaptive_scan``.
 """
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fwave import beats
 from fwave.beats import detect_r_peaks_energy
-from fwave.preprocess import prefilter
+from fwave.preprocess import compute_bsqi, prefilter
 from fwave.synth import SynthConfig, generate
 
 
@@ -36,6 +41,58 @@ def _moving_average_loop(x, w):
     return out
 
 
+def _adaptive_scan_loop(feat, min_dist, init_len, searchback):
+    n = feat.shape[0]
+    out = np.empty(n, dtype=np.int64)
+    m = 0
+    lim = min(init_len, n)
+    fmax = 0.0
+    fsum = 0.0
+    for j in range(lim):
+        v = feat[j]
+        fsum += v
+        if v > fmax:
+            fmax = v
+    if fmax <= 0.0:
+        # flat or empty feature: nothing can ever cross a positive threshold
+        return out[:m]
+    spk = fmax
+    npk = 0.5 * fsum / lim
+    thr = npk + 0.25 * (spk - npk)
+    last = 0
+    best_v = 0.0
+    best_i = -1
+    for i in range(1, n - 1):
+        if feat[i] >= feat[i - 1] and feat[i] > feat[i + 1]:
+            v = feat[i]
+            if v > thr:
+                # peaks inside the refractory window belong to the same
+                # beat: neither signal nor noise, so they leave the
+                # running estimates untouched
+                if m == 0 or i - last >= min_dist:
+                    spk = 0.125 * v + 0.875 * spk
+                    out[m] = i
+                    m += 1
+                    last = i
+                    best_v = 0.0
+                    best_i = -1
+            else:
+                npk = 0.125 * v + 0.875 * npk
+                if v > best_v and i - last >= min_dist:
+                    best_v = v
+                    best_i = i
+            thr = npk + 0.25 * (spk - npk)
+        if i - last > searchback and best_i > 0 and best_v > 0.5 * thr:
+            spk = 0.25 * best_v + 0.75 * spk
+            out[m] = best_i
+            m += 1
+            last = best_i
+            best_v = 0.0
+            best_i = -1
+            thr = npk + 0.25 * (spk - npk)
+    return out[:m]
+
+
 def test_moving_average_paths_agree():
     rng = np.random.default_rng(0)
     x = rng.standard_normal(5000)
@@ -52,6 +109,141 @@ def test_moving_average_constant_preserved():
 
 def test_adaptive_scan_flat_input_empty():
     assert len(beats.adaptive_scan(np.zeros(1000), 40, 400, 240)) == 0
+
+
+def _feature(kind, n, seed, init_len):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return rng.standard_normal(n) * 10.0 ** int(rng.integers(-3, 4))
+    if kind == "flat":
+        return np.full(n, float(rng.choice([0.0, 1.5, -2.0])))
+    if kind == "quantised":  # plateaus and exact ties between peaks
+        return rng.integers(0, int(rng.integers(2, 6)), n).astype(np.float64)
+    if kind == "spiky":  # isolated spikes on a zero floor: long gaps, a peakless tail
+        feat = np.zeros(n)
+        hits = rng.random(n) < rng.uniform(0.002, 0.05)
+        feat[hits] = rng.exponential(1.0, int(hits.sum()))
+        feat[max(0, n - int(rng.integers(0, 300))):] = 0.0
+        return feat
+    if kind == "searchback":  # strong beats far apart, weaker beats between them
+        feat = np.abs(rng.standard_normal(n)) * 0.01
+        period = int(rng.integers(5, 60))
+        every = int(rng.integers(2, 6))
+        for k, p in enumerate(range(int(rng.integers(0, period)), n, period)):
+            feat[p] += 1.0 if k % every == 0 else rng.uniform(0.05, 0.6)
+        return beats.moving_average(feat, int(rng.choice([1, 3, 5]))) if n else feat
+    # "tie": a decreasing initialization window, then one local maximum
+    # exactly at the initial threshold (noise, not signal, when the window
+    # is summed in sample order), then beats on the window's scale
+    lim = min(init_len, n)
+    feat = np.concatenate([np.sort(rng.uniform(0.01, 1.0, lim))[::-1],
+                           _feature("searchback", n - lim, seed, 0)])
+    if 0 < lim < n - 1:
+        npk = 0.5 * float(np.cumsum(feat[:lim])[-1]) / lim
+        feat[lim] = npk + 0.25 * (feat[0] - npk)
+        feat[lim + 1] = 0.0
+    return feat
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    kind=st.sampled_from(["random", "flat", "quantised", "spiky", "searchback", "tie"]),
+    n=st.integers(0, 3000),
+    seed=st.integers(0, 2**32 - 1),
+    min_dist=st.integers(1, 40),
+    init_len=st.integers(0, 400),
+    searchback=st.integers(0, 120),
+)
+def test_adaptive_scan_equals_sample_loop(kind, n, seed, min_dist, init_len, searchback):
+    feat = _feature(kind, n, seed, init_len)
+    got = beats.adaptive_scan(feat, min_dist, init_len, searchback)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _adaptive_scan_loop(feat, min_dist, init_len, searchback))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    feat=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0, 4.0]), max_size=40),
+    min_dist=st.integers(1, 4),
+    init_len=st.integers(0, 6),
+    searchback=st.integers(0, 6),
+)
+def test_adaptive_scan_equals_sample_loop_short(feat, min_dist, init_len, searchback):
+    feat = np.array(feat, dtype=np.float64)
+    assert np.array_equal(beats.adaptive_scan(feat, min_dist, init_len, searchback),
+                          _adaptive_scan_loop(feat, min_dist, init_len, searchback))
+
+
+def _both(feat, *args):
+    """The scan's peaks, checked against the sample loop."""
+    feat = np.array(feat, dtype=np.float64)
+    got = beats.adaptive_scan(feat, *args)
+    assert np.array_equal(got, _adaptive_scan_loop(feat, *args))
+    return got.tolist()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_adaptive_scan_tiny_inputs(n):
+    for feat in (np.zeros(n), np.arange(1.0, n + 1.0), np.array([1.0, 3.0, 2.0][:n])):
+        assert _both(feat, 1, 2, 1) == ([1] if n == 3 and feat[1] == 3.0 else [])
+
+
+def test_adaptive_scan_zero_init_window_finds_nothing():
+    # the initialization window seeds the signal estimate; at zero no
+    # threshold can be crossed, whatever peaks follow
+    feat = np.zeros(60)
+    feat[20:60:10] = 5.0
+    assert _both(feat, 2, 10, 5) == []
+    assert _both(feat, 2, 21, 5) == [20, 30, 40, 50]
+
+
+# A strong beat at 2 (accepted), a weak one at 6 (noise, the searchback
+# candidate), then a decreasing ramp that holds no local maximum.
+_WEAK = [0.0, 0.5, 10.0, 0.5, 0.2, 0.4, 2.0, 1.0] + [0.9 - 0.001 * k for k in range(200)]
+# The same with a peak at 40 that only the lowered threshold accepts.
+_WEAK_40 = _WEAK[:40] + [3.0] + _WEAK[41:60]
+
+
+@pytest.mark.parametrize("searchback", [10, 36])
+def test_adaptive_scan_searchback_inside_a_gap(searchback):
+    # due at 2 + searchback + 1, which lies in the gap between the peaks
+    # at 6 and 40 (36: at its last sample, 39)
+    assert _both(_WEAK_40, 2, 5, searchback) == [2, 6, 40]
+
+
+def test_adaptive_scan_searchback_at_a_peak():
+    # due at 6, the weak beat itself
+    assert _both(_WEAK[:60], 2, 5, 3) == [2, 6]
+    # due at 40: that peak is first taken as noise, becomes the strongest
+    # sub-threshold peak, and is then recovered in place of 6
+    assert _both(_WEAK_40, 2, 5, 37) == [2, 40]
+
+
+@pytest.mark.parametrize("searchback, fires", [(40, True), (41, False)])
+def test_adaptive_scan_searchback_in_the_tail(searchback, fires):
+    # n = 45: the last sample checked is n - 2 = 43; searchback 40 falls
+    # due exactly there, searchback 41 one sample past it
+    assert _both(_WEAK[:45], 2, 5, searchback) == ([2, 6] if fires else [2])
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_detectors_scan_as_the_sample_loop(monkeypatch, seed):
+    """Both detectors' features of an AF and a sinus record."""
+    fast = beats.adaptive_scan
+    scans = []
+
+    def checked(feat, *args):
+        got = fast(feat, *args)
+        assert np.array_equal(got, _adaptive_scan_loop(feat, *args))
+        scans.append(len(got))
+        return got
+
+    monkeypatch.setattr(beats, "adaptive_scan", checked)
+    for rhythm, f0 in (("AF", 6.5), ("sinus", None)):
+        truth = generate(SynthConfig(rhythm=rhythm, fwave_f0=f0, rng_seed=seed,
+                                     artifact_rms_mv=0.05))
+        compute_bsqi(prefilter(truth.ecg, truth.fs), truth.fs)
+    assert len(scans) == 4 and min(scans) > 30
 
 
 def test_detector_identical_across_paths(monkeypatch):
