@@ -14,6 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import ExtractionError, SignalTooShortError
+
 REFRACTORY_S = 0.2  # 300 bpm ceiling
 INTEG_WINDOW_S = 0.150
 KERNEL_HALF_S = 0.060
@@ -149,7 +151,7 @@ def detect_r_peaks_energy(x, fs: float) -> np.ndarray:
     """Energy-based detector with adaptive threshold, 200 ms refractory."""
     x = np.asarray(x, dtype=np.float64)
     if len(x) < 5 * fs:
-        raise ValueError(f"need at least 5 s of signal, got {len(x) / fs:.1f} s")
+        raise SignalTooShortError(f"need at least 5 s of signal, got {len(x) / fs:.1f} s")
     d = np.diff(x, prepend=x[0])
     feat = moving_average(d * d, _odd(int(round(INTEG_WINDOW_S * fs))))
     return _refine(x * x, _scan(feat, fs), int(round(0.100 * fs)), int(round(REFRACTORY_S * fs)))
@@ -209,7 +211,7 @@ def segment_fiducials(x, fs: float, r_peaks) -> BeatMap:
     x = np.asarray(x, dtype=np.float64)
     r_peaks = np.asarray(r_peaks, dtype=np.int64)
     if len(r_peaks) < 2:
-        raise ValueError("need at least 2 R-peaks for fiducials")
+        raise ExtractionError("need at least 2 R-peaks for fiducials")
     n = len(x)
     rr = np.diff(r_peaks) / fs
     med_rr = float(np.median(rr))

@@ -6,6 +6,7 @@ error, 3 zero usable windows, 1 any other failure.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -50,46 +51,33 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args) -> pipeline.PipelineConfig:
-    overrides = {
-        "out_dir": getattr(args, "out", None),
-        "seed": getattr(args, "seed", None),
-        "workers": getattr(args, "workers", None),
+    """The config file plus the flags, checked once by the constructor."""
+    flags = {
+        "out_dir": args.out,
+        "seed": args.seed,
+        "workers": args.workers,
+        "dump_beats": getattr(args, "dump_beats", False) or None,
+        "extractors": tuple(args.method) if getattr(args, "method", None) else None,
+        "record_format": getattr(args, "format", None),
     }
-    if getattr(args, "dump_beats", False):
-        overrides["dump_beats"] = True
-    if getattr(args, "method", None):
-        overrides["extractors"] = tuple(args.method)
-    if getattr(args, "format", None):
-        overrides["record_format"] = args.format
+    flags = {k: v for k, v in flags.items() if v is not None}
     if args.config:
-        cfg = pipeline.PipelineConfig.from_file(
-            args.config, **{k: v for k, v in overrides.items() if v is not None}
-        )
+        cfg = pipeline.PipelineConfig.from_file(args.config, **flags)
+    elif args.command == "synth" or getattr(args, "features", None):
+        # synth has usable defaults; eval on a ready-made table needs no inputs
+        cfg = pipeline.PipelineConfig.from_dict(flags)
     else:
-        base = {k: v for k, v in overrides.items() if v is not None}
-        if args.command == "synth" or (
-            args.command == "eval" and getattr(args, "features", None)
-        ):
-            # synth has usable defaults; eval on a ready-made table needs
-            # no inputs beyond the table itself
-            base["synth"] = {}
-        else:
-            raise ConfigError("--config is required for this command")
-        cfg = pipeline.PipelineConfig.from_dict(base)
+        raise ConfigError("--config is required for this command")
     if args.command == "synth":
-        synth_spec = dict(cfg.synth or {})
-        if getattr(args, "n_af", None) is not None:
-            synth_spec["n_af"] = args.n_af
-        if getattr(args, "n_sinus", None) is not None:
-            synth_spec["n_sinus"] = args.n_sinus
-        if getattr(args, "f0_min", None) is not None or getattr(args, "f0_max", None) is not None:
-            lo, hi = synth_spec.get("f0_range", (4.5, 11.0))
-            synth_spec["f0_range"] = (
-                args.f0_min if args.f0_min is not None else lo,
-                args.f0_max if args.f0_max is not None else hi,
-            )
-        cfg.synth = synth_spec
-        cfg.validate()
+        if cfg.synth is None:  # the synth command generates the default corpus
+            cfg = dataclasses.replace(cfg, synth={})
+        lo, hi = cfg.synth["f0_range"]
+        spec = {"n_af": args.n_af, "n_sinus": args.n_sinus,
+                "f0_range": (lo if args.f0_min is None else args.f0_min,
+                             hi if args.f0_max is None else args.f0_max)}
+        cfg = dataclasses.replace(
+            cfg, synth={**cfg.synth, **{k: v for k, v in spec.items() if v is not None}}
+        )
     return cfg
 
 

@@ -189,7 +189,10 @@ def ts_pca(bm: BeatMatrix, var_target: float = 0.95, max_rank: int = 3) -> FWave
     of the beat stack reaches var_target (capped at max_rank) defines
     the ventricular subspace.
     """
-    u, s, vt = np.linalg.svd(bm.stack, full_matrices=False)
+    try:
+        u, s, vt = np.linalg.svd(bm.stack, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise ExtractionError(f"SVD of the beat matrix failed: {exc}") from None
     energy = s * s
     total = float(energy.sum())
     if total == 0.0:

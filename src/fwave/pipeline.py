@@ -19,16 +19,19 @@ missing (e.g. ``daf`` before ``extract``: the message names the file and
 the stage that writes it) and a ``recordings`` entry naming no file
 (the message names the path and its config key).
 
-Failures are per-window: a bad window lands in the exclusion ledger and
-the run continues. A run that yields zero usable windows raises
-NoUsableWindowsError (CLI exit code 3).
+A window whose data fails (ExtractionError, SignalTooShortError) lands
+in the exclusion ledger and the run continues; any other error ends the
+run. A run that yields zero usable windows raises NoUsableWindowsError
+(CLI exit code 3).
 """
 
+import inspect
 import json
 import math
 import numbers
 import os
 import types
+import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -41,8 +44,8 @@ from .beats import detect_r_peaks_energy, segment_fiducials  # noqa: F401
 from .errors import (
     ConfigError,
     ExtractionError,
-    FwaveError,
     NoUsableWindowsError,
+    SignalTooShortError,
     VotingError,
 )
 from .evaluate import (
@@ -98,18 +101,21 @@ def _check_types(obj, prefix="") -> None:
         _check_type(prefix + name, getattr(obj, name), f.type)
 
 
-# keys of the synth block: generate_corpus's arguments, less the seed
-_SYNTH_TYPES = {"n_af": int, "n_sinus": int, "f0_range": list | tuple, "fs": float,
-                "duration_s": float, "fwave_amp_mv": float, "noise_rms_mv": float,
-                "artifact_rms_mv": float}
+# the synth block: generate_corpus's keyword arguments, less the seed
+_SYNTH_PARAMS = {name: p for name, p in inspect.signature(synth.generate_corpus).parameters.items()
+                 if name != "rng_seed"}
 
 
 @dataclass
 class PipelineConfig:
+    """The settings of one run. The constructor checks every value and
+    raises ConfigError; a ``filter`` dict becomes a FilterSpec and a
+    ``synth`` block gets ``generate_corpus``'s defaults."""
+
     out_dir: str = "fwave_out"
     seed: int = 0
     workers: int = 1
-    synth: dict | None = None  # {"n_af", "n_sinus", "f0_range", ...}
+    synth: dict | None = None  # generate_corpus's keyword arguments, less rng_seed
     recordings: list = field(default_factory=list)  # [{"recording", "annotation"}]
     filter: FilterSpec = field(default_factory=FilterSpec)
     bsqi_threshold: float = 0.8
@@ -127,19 +133,31 @@ class PipelineConfig:
     dump_beats: bool = False
     record_format: str = "binary"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        if isinstance(self.filter, dict):
+            unknown = set(self.filter) - set(FilterSpec.__dataclass_fields__)
+            if unknown:
+                raise ConfigError(f"unknown filter config keys: {sorted(unknown)}")
+            self.filter = FilterSpec(**self.filter)
+        for key in ("extractors", "voting_set"):
+            if isinstance(getattr(self, key), list):
+                setattr(self, key, tuple(getattr(self, key)))
         _check_types(self)
         _check_types(self.filter, "filter.")
-        for key, value in (self.synth or {}).items():
-            if key not in _SYNTH_TYPES:
-                raise ConfigError(f"unknown synth config key {key!r}")
-            _check_type(f"synth.{key}", value, _SYNTH_TYPES[key])
-            if key == "f0_range" and not (
-                len(value) == 2 and all(_type_ok(f, float) and math.isfinite(f) for f in value)
-                and value[0] <= value[1]
-            ):
+        if self.synth is not None:
+            block = {name: p.default for name, p in _SYNTH_PARAMS.items()}
+            for key, value in self.synth.items():
+                if key not in block:
+                    raise ConfigError(f"unknown synth config key {key!r}")
+                value = tuple(value) if isinstance(value, list) else value  # JSON has no tuples
+                _check_type(f"synth.{key}", value, _SYNTH_PARAMS[key].annotation)
+                block[key] = value
+            f0, (lo, hi) = block["f0_range"], synth.F0_BAND_HZ
+            if not (len(f0) == 2 and all(_type_ok(f, float) and math.isfinite(f) for f in f0)
+                    and lo <= f0[0] <= f0[1] <= hi):
                 raise ConfigError("config key synth.f0_range must be two finite numbers "
-                                  "[low, high]")
+                                  f"[low, high] within [{lo:g}, {hi:g}] Hz")
+            self.synth = block
         for m in self.extractors:
             if m not in METHODS:
                 raise ConfigError(f"unknown extractor {m!r}")
@@ -153,8 +171,11 @@ class PipelineConfig:
                 raise ConfigError(f"{key} names no method")
             if names is not None and len(set(names)) < len(names):
                 raise ConfigError(f"{key} names a method twice: {list(names)}")
-        if not 0 < self.window_s:
-            raise ConfigError("window_s must be positive")
+        if not self.window_s >= 5:
+            # the R-peak detector needs 5 s of signal
+            raise ConfigError("window_s must be at least 5 s")
+        if not 0 <= self.bsqi_threshold <= 1:
+            raise ConfigError("bsqi_threshold must lie in [0, 1]")
         if self.bsqi_segment_s < 5:
             raise ConfigError("bsqi_segment_s must be at least 5 s")
         if not self.bsqi_match_tol_ms >= 0:
@@ -170,13 +191,6 @@ class PipelineConfig:
             raise ConfigError("seed must be >= 0")
         if self.record_format not in ("csv", "binary"):
             raise ConfigError(f"unknown record format {self.record_format!r}")
-        if self.synth is None and not self.recordings:
-            manifest = os.path.join(self.out_dir, "records", "manifest.json")
-            if not os.path.exists(manifest):
-                raise ConfigError(
-                    "config needs a synth block, recordings, or an existing "
-                    "records manifest in out_dir"
-                )
 
     @classmethod
     def from_file(cls, path, **overrides) -> "PipelineConfig":
@@ -187,26 +201,16 @@ class PipelineConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"bad JSON in config {path}: {exc}") from None
-        return cls.from_dict({**raw, **{k: v for k, v in overrides.items() if v is not None}})
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config {path} must hold a JSON object")
+        return cls.from_dict({**raw, **overrides})
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
-        raw = dict(raw)
-        known = set(cls.__dataclass_fields__)
-        unknown = set(raw) - known
+        unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if isinstance(raw.get("filter"), dict):
-            unknown = set(raw["filter"]) - set(FilterSpec.__dataclass_fields__)
-            if unknown:
-                raise ConfigError(f"unknown filter config keys: {sorted(unknown)}")
-            raw["filter"] = FilterSpec.from_dict(raw["filter"])
-        for key in ("extractors", "voting_set"):
-            if isinstance(raw.get(key), list):
-                raw[key] = tuple(raw[key])
-        cfg = cls(**raw)
-        cfg.validate()
-        return cfg
+        return cls(**raw)
 
 
 def _path(cfg, *parts) -> str:
@@ -225,8 +229,7 @@ def stage_synth(cfg: PipelineConfig) -> list:
     """Generate the synthetic corpus and write records plus a manifest."""
     if cfg.synth is None:
         return []
-    # validate checked the block's keys and types
-    corpus = synth.generate_corpus(**{"n_af": 100, "n_sinus": 100, **cfg.synth}, rng_seed=cfg.seed)
+    corpus = synth.generate_corpus(**cfg.synth, rng_seed=cfg.seed)
     rec_dir = _path(cfg, "records")
     os.makedirs(rec_dir, exist_ok=True)
     ext = "csv" if cfg.record_format == "csv" else "fwk"
@@ -279,9 +282,7 @@ def _window_jobs(cfg: PipelineConfig):
             _require(rec_path, "synth")
             rec = dataio.load_recording(rec_path)
             add(rec, [(entry["id"], 0, len(rec.samples), entry["label"])])
-    # one child seed per recording, so equal layouts draw different non-AF slots
-    seeds = np.random.SeedSequence(cfg.seed).spawn(len(cfg.recordings))
-    for i, (item, seed) in enumerate(zip(cfg.recordings, seeds)):
+    for i, item in enumerate(cfg.recordings):
         for key in ("recording", "annotation"):
             path = item.get(key)
             if not isinstance(path, str) or not os.path.isfile(path):
@@ -298,6 +299,9 @@ def _window_jobs(cfg: PipelineConfig):
                     "reason": "af_event_shorter_than_window",
                 }
             )
+        # seeded by record id: equal layouts draw different non-AF slots,
+        # and the draws do not depend on the order of recordings
+        seed = np.random.SeedSequence([cfg.seed, zlib.crc32(rec.record_id.encode())])
         nonaf, shortfall = dataio.sample_nonaf_windows(
             rec, ann, count=len(result.windows), rng_seed=seed, window_s=cfg.window_s
         )
@@ -319,6 +323,7 @@ def _window_jobs(cfg: PipelineConfig):
                 f"window id {wid!r} occurs twice; give every recording a distinct record_id"
             )
         seen.add(wid)
+    event_exclusions.sort(key=lambda e: e["record_id"])
     return jobs, event_exclusions
 
 
@@ -349,7 +354,7 @@ def _process_window(args):
         beats = segment_fiducials(x, fs, report.r_peaks)
         bm = beat_matrix(x, beats, cfg.min_beats)
         residuals = {method: run_extractor(method, bm).residual for method in cfg.extractors}
-    except (ExtractionError, FwaveError, ValueError) as exc:
+    except (ExtractionError, SignalTooShortError) as exc:  # what a window's data can cause
         return {"window_id": wid, "excluded": f"{type(exc).__name__}: {exc}"}
     for method, residual in residuals.items():
         rec = dataio.EcgRecording(samples=residual, fs=fs, lead_name=method, record_id=wid)
@@ -545,7 +550,6 @@ def _write_text_report(cfg, report, methods) -> None:
 
 def run_pipeline(cfg: PipelineConfig) -> dict:
     """All four stages against one output directory."""
-    cfg.validate()
     os.makedirs(cfg.out_dir, exist_ok=True)
     stage_synth(cfg)
     extracted = stage_extract(cfg)

@@ -29,10 +29,6 @@ class FilterSpec:
         # a passband edge at Nyquist is unrealizable; clamp to 0.45*fs
         return min(self.band_high, 0.45 * fs)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "FilterSpec":
-        return cls(**d)
-
 
 @dataclass
 class QualityReport:

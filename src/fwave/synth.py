@@ -28,6 +28,7 @@ _QRST_BUMPS = (
 )
 
 R_AMPLITUDE_MV = 1.4
+F0_BAND_HZ = (4.0, 12.0)  # the f-wave fundamentals the generator accepts
 
 
 @dataclass
@@ -37,7 +38,7 @@ class SynthConfig:
     rhythm: str = "AF"  # "AF" or "sinus"
     mean_hr_bpm: float = 75.0
     rr_jitter: float | None = None  # default 0.25 for AF, 0.03 for sinus
-    fwave_f0: float | None = None  # required for AF, in [4, 12] Hz
+    fwave_f0: float | None = None  # required for AF, in F0_BAND_HZ
     fwave_amp_mv: float = 0.1
     fwave_harmonics: int = 3
     noise_rms_mv: float = 0.02
@@ -51,7 +52,7 @@ class SynthConfig:
             return self.rr_jitter
         return 0.25 if self.rhythm == "AF" else 0.03
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.rhythm not in ("AF", "sinus"):
             raise ConfigError(f"unknown rhythm {self.rhythm!r}")
         if self.fs <= 0 or self.duration_s < 10:
@@ -59,8 +60,9 @@ class SynthConfig:
         if self.rhythm == "AF":
             if self.fwave_f0 is None:
                 raise ConfigError("AF rhythm requires fwave_f0")
-            if not 4.0 <= self.fwave_f0 <= 12.0:
-                raise ConfigError("fwave_f0 must lie in [4, 12] Hz")
+            lo, hi = F0_BAND_HZ
+            if not lo <= self.fwave_f0 <= hi:
+                raise ConfigError(f"fwave_f0 must lie in [{lo:g}, {hi:g}] Hz")
         elif self.fwave_f0 is not None:
             raise ConfigError("sinus rhythm must not carry an f-wave")
 
@@ -149,7 +151,6 @@ def _artifact(cfg: SynthConfig, n: int, rng) -> np.ndarray:
 
 def generate(cfg: SynthConfig) -> SynthTruth:
     """Generate one record; deterministic for a given config/seed."""
-    cfg.validate()
     rng = np.random.default_rng(cfg.rng_seed)
     n = int(round(cfg.duration_s * cfg.fs))
     t_grid = np.arange(n) / cfg.fs
@@ -194,9 +195,9 @@ def generate(cfg: SynthConfig) -> SynthTruth:
 
 
 def generate_corpus(
-    n_af: int,
-    n_sinus: int,
-    f0_range=(4.5, 11.0),
+    n_af: int = 100,
+    n_sinus: int = 100,
+    f0_range: tuple = (4.5, 11.0),
     rng_seed: int = 0,
     fs: float = 200.0,
     duration_s: float = 60.0,

@@ -10,6 +10,7 @@ from fwave.beats import (
     match_detections,
     segment_fiducials,
 )
+from fwave.errors import ExtractionError, SignalTooShortError
 from fwave.pipeline import PipelineConfig, _process_window
 from fwave.preprocess import compute_bsqi, prefilter
 
@@ -61,7 +62,7 @@ class TestEnergyDetector:
         assert np.all(np.diff(det) >= int(0.2 * af_record.fs))
 
     def test_too_short_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SignalTooShortError):
             detect_r_peaks_energy(np.zeros(100), FS)
 
 
@@ -172,7 +173,7 @@ class TestFiducials:
         np.testing.assert_allclose(bm.rr_intervals, [1.0, 1.5])
 
     def test_needs_two_peaks(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ExtractionError):
             segment_fiducials(np.zeros(3000), 200.0, [500])
 
     def test_json_roundtrip_shape(self):

@@ -1,12 +1,15 @@
+import builtins
 import hashlib
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 from fwave.cli import main
 from fwave.dataio import EcgRecording, load_recording, write_recording
+from fwave.errors import ConfigError
 from fwave.pipeline import PipelineConfig, _window_jobs
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -326,48 +329,64 @@ class TestNonAfDraws:
         assert self._nonaf_starts(tmp_path, seed) == starts
 
 
+# (key, value, a word the one-line error must contain): every value is
+# refused by the PipelineConfig constructor, so every path that builds a
+# config refuses it
+BAD_VALUES = [
+    ("bsqi_segment_s", "10", "bsqi_segment_s"),
+    ("workers", "2", "workers"),
+    ("workers", True, "workers"),
+    ("min_beats", "8", "min_beats"),
+    ("min_beats", 0, "min_beats"),
+    ("seed", -1, "seed"),
+    ("dump_beats", 1, "dump_beats"),
+    ("extractors", 5, "extractors"),
+    ("synth", [], "synth"),
+    ("filter", {"band_low": "0.5"}, "filter.band_low"),
+    ("filter", {"bogus": 1}, "bogus"),
+    ("extractors", [], "extractors"),
+    ("extractors", ["TS_B", "TS_B", "TS_CE"], "extractors"),
+    ("voting_set", [], "voting_set"),
+    ("voting_set", ["TS_B", "TS_B"], "voting_set"),
+    ("synth", {"n_af": "x"}, "synth.n_af"),
+    ("synth", {"bogus": 1}, "bogus"),
+    ("synth", {"f0_range": [5.0]}, "synth.f0_range"),
+    ("synth", {"f0_range": [11.0, 4.0]}, "synth.f0_range"),
+    ("rf_n_trees", 0, "rf_n_trees"),
+    ("welch_seg_s", 0, "welch_seg_s"),
+    ("welch_overlap", 1.0, "welch_overlap"),
+    ("welch_overlap", -0.5, "welch_overlap"),
+    ("bsqi_match_tol_ms", -5, "bsqi_match_tol_ms"),
+    ("rf_max_depth", -3, "rf_max_depth"),
+    ("rf_max_depth", 0, "rf_max_depth"),
+    ("bsqi_segment_s", float("nan"), "bsqi_segment_s"),
+    ("bsqi_threshold", float("nan"), "bsqi_threshold"),
+    ("window_s", float("inf"), "window_s"),
+    ("welch_seg_s", float("-inf"), "welch_seg_s"),
+    ("filter", {"band_high": float("nan")}, "filter.band_high"),
+    ("filter", {"notch_q": float("inf")}, "filter.notch_q"),
+    ("synth", {"duration_s": float("inf")}, "synth.duration_s"),
+    ("synth", {"noise_rms_mv": float("nan")}, "synth.noise_rms_mv"),
+    ("synth", {"f0_range": [4.0, float("inf")]}, "synth.f0_range"),
+    ("synth", {"f0_range": [2.0, 6.0]}, "synth.f0_range"),  # some draws fall below 4 Hz
+    ("bsqi_threshold", 1.01, "bsqi_threshold"),
+    ("bsqi_threshold", 2.0, "bsqi_threshold"),
+    ("bsqi_threshold", -1.0, "bsqi_threshold"),
+    ("window_s", 4.0, "window_s"),
+]
+
+
 class TestExitCodes:
-    @pytest.mark.parametrize("key, value, needle", [
-        ("bsqi_segment_s", "10", "bsqi_segment_s"),
-        ("workers", "2", "workers"),
-        ("workers", True, "workers"),
-        ("min_beats", "8", "min_beats"),
-        ("min_beats", 0, "min_beats"),
-        ("seed", -1, "seed"),
-        ("dump_beats", 1, "dump_beats"),
-        ("extractors", 5, "extractors"),
-        ("synth", [], "synth"),
-        ("filter", {"band_low": "0.5"}, "filter.band_low"),
-        ("filter", {"bogus": 1}, "bogus"),
-        ("extractors", [], "extractors"),
-        ("extractors", ["TS_B", "TS_B", "TS_CE"], "extractors"),
-        ("voting_set", [], "voting_set"),
-        ("voting_set", ["TS_B", "TS_B"], "voting_set"),
-        ("synth", {"n_af": "x"}, "synth.n_af"),
-        ("synth", {"bogus": 1}, "bogus"),
-        ("synth", {"f0_range": [5.0]}, "synth.f0_range"),
-        ("synth", {"f0_range": [11.0, 4.0]}, "synth.f0_range"),
-        ("rf_n_trees", 0, "rf_n_trees"),
-        ("welch_seg_s", 0, "welch_seg_s"),
-        ("welch_overlap", 1.0, "welch_overlap"),
-        ("welch_overlap", -0.5, "welch_overlap"),
-        ("bsqi_match_tol_ms", -5, "bsqi_match_tol_ms"),
-        ("rf_max_depth", -3, "rf_max_depth"),
-        ("rf_max_depth", 0, "rf_max_depth"),
-        ("bsqi_segment_s", float("nan"), "bsqi_segment_s"),
-        ("bsqi_threshold", float("nan"), "bsqi_threshold"),
-        ("window_s", float("inf"), "window_s"),
-        ("welch_seg_s", float("-inf"), "welch_seg_s"),
-        ("filter", {"band_high": float("nan")}, "filter.band_high"),
-        ("filter", {"notch_q": float("inf")}, "filter.notch_q"),
-        ("synth", {"duration_s": float("inf")}, "synth.duration_s"),
-        ("synth", {"noise_rms_mv": float("nan")}, "synth.noise_rms_mv"),
-        ("synth", {"f0_range": [4.0, float("inf")]}, "synth.f0_range"),
-    ])
+    @pytest.mark.parametrize("key, value, needle", BAD_VALUES)
     def test_bad_value_is_2(self, tmp_path, capsys, key, value, needle):
         cfg = _config(tmp_path, **{key: value})
         assert main(["run", "--config", cfg]) == 2
         _one_line_error(capsys, needle)
+
+    @pytest.mark.parametrize("key, value, needle", BAD_VALUES)
+    def test_bad_value_fails_construction(self, key, value, needle):
+        with pytest.raises(ConfigError, match=re.escape(needle)):
+            PipelineConfig(**{key: value})
 
     @pytest.mark.parametrize("key, value, needle", [
         ("welch_seg_s", 0.02, "welch_seg_s"),  # no Welch bin in the DAF band
@@ -398,6 +417,12 @@ class TestExitCodes:
     def test_unreadable_config_is_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "missing.json")]) == 2
 
+    def test_non_object_config_is_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("[1, 2]")
+        assert main(["run", "--config", str(path)]) == 2
+        _one_line_error(capsys, "JSON object")
+
     def test_voting_set_must_be_subset(self, tmp_path):
         cfg = _config(tmp_path, voting_set=["TS_B", "TS_X", "TS_SU"])
         assert main(["run", "--config", cfg]) == 2
@@ -413,15 +438,33 @@ class TestExitCodes:
         assert main(["run", "--config", cfg]) == 2
         _one_line_error(capsys, "infeasible passband [95.0, 90.0] Hz at fs=200.0")
 
-    def test_impossible_threshold_excludes_everything(self, tmp_path, capsys):
-        cfg = _config(tmp_path, bsqi_threshold=1.01,
-                      synth={"n_af": 3, "n_sinus": 3})
+    def test_data_failing_the_gate_excludes_everything(self, tmp_path):
+        cfg = _config(tmp_path, synth={"n_af": 3, "n_sinus": 3, "duration_s": 30.0,
+                                       "noise_rms_mv": 0.5})
         rc = main(["run", "--config", cfg])
         assert rc == 3
         out_dir = json.load(open(cfg))["out_dir"]
         ledger = json.load(open(os.path.join(out_dir, "exclusions.json")))
         assert len(ledger["windows"]) == 6
         assert all("bsqi" in e["reason"] for e in ledger["windows"])
+
+
+class TestConfigReadsNoFile:
+    def test_missing_out_dir(self, tmp_path, monkeypatch, capsys):
+        out = str(tmp_path / "missing")
+
+        def no_io(*args, **kwargs):
+            raise AssertionError(f"building a config touched the filesystem: {args}")
+
+        with monkeypatch.context() as m:
+            for module, name in ((os, "stat"), (os, "listdir"), (builtins, "open")):
+                m.setattr(module, name, no_io)
+            PipelineConfig(out_dir=out)
+            PipelineConfig.from_dict({"out_dir": out})
+        assert not os.path.exists(out)
+        cfg = _config(tmp_path, out_dir=out, synth=None)
+        assert main(["run", "--config", cfg]) == 2
+        _one_line_error(capsys, os.path.join("records", "manifest.json"), "fwave synth")
 
 
 class TestEvalOnFeatureTable:
