@@ -2,15 +2,21 @@
 
 A small random forest is grown from scratch on the single scalar DAF
 feature (bootstrap-sampled, Gini-split threshold trees), which keeps
-training fully deterministic for a given seed. Each node finds its
-split by one prefix-sum sweep over the sorted feature. Over one scalar
-feature every tree is a step function, and so is their average: the
-trained forest is a sorted array of breakpoints with one AF probability
-per interval, and prediction is one ``searchsorted``. AUROC uses the
-rank statistic (Mann-Whitney), ties counting 0.5.
+training fully deterministic for a given seed. Each tree's bootstrap
+sample becomes row and AF counts per distinct value; the trees' sorted
+values lie end to end in one flat array, and a node is a range of it.
+All trees grow together, level by level: one numpy pass per depth
+scores every candidate split of every live node from two prefix sums,
+as histogram boosting grows its trees, but exact, since a single
+feature needs no binning. Every tree is a step function, and so is
+their average: the trained forest is a sorted array of breakpoints with
+one AF probability per interval, and prediction is one
+``searchsorted``. AUROC uses the rank statistic (Mann-Whitney), ties
+counting 0.5.
 """
 
 import csv
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -178,40 +184,145 @@ def stratified_split(table: FeatureTable, train_frac: float = 0.8, rng_seed: int
 
 # --- random forest on a single scalar feature ------------------------------
 
-def _grow_tree(x, y, depth, max_depth):
-    """A tree as its in-order lists (thresholds, leaves): a value takes
-    the leaf indexed by the count of thresholds below it, as it goes left
-    at every threshold it does not exceed. Leaves are float AF fractions."""
-    if depth >= max_depth or len(np.unique(y)) == 1:
-        return [], [float(np.mean(y))]
-    order = np.argsort(x, kind="stable")
-    xs, ys = x[order], y[order]
-    uniq = np.unique(xs)
-    if len(uniq) < 2:
-        return [], [float(np.mean(y))]
-    # the split after uniq[i] puts every row <= uniq[i] on the left, a
-    # prefix of the sorted rows: row 0 of n and k holds the left sizes
-    # and AF counts, row 1 the right
-    total = len(ys)
-    nl = np.searchsorted(xs, uniq[:-1], side="right")
-    af_left = np.concatenate(([0], np.cumsum(ys)))[nl]
-    n = np.array([nl, total - nl])
-    k = np.array([af_left, ys.sum() - af_left])
-    p = k / np.maximum(n, 1)  # an empty side has Gini 0
-    g = 2.0 * p * (1.0 - p)
-    scores = (n[0] * g[0] + n[1] * g[1]) / total
-    best = None  # move on only to a score lower by more than 1e-15
+def _bootstrap_counts(x, y, n_trees, rng_seed):
+    """Every tree's bootstrap sample as counts per distinct value.
+
+    Returns the values each tree drew, sorted within the tree and
+    concatenated in tree order; the 0-prefixed cumulative sums of their
+    row counts and of their AF counts; and each tree's first position,
+    with the total appended. A node of any tree is a range of this
+    flat array that never crosses a tree boundary.
+    """
+    uniq, code = np.unique(x, return_inverse=True)
+    m = len(uniq)
+    # one bin per (tree, value, label): bin 2 * (t * m + value) + label
+    row_bin = 2 * code + y
+    keys = np.empty((n_trees, len(x)), dtype=np.int64)
+    for t, seq in enumerate(np.random.SeedSequence(rng_seed).spawn(n_trees)):
+        keys[t] = row_bin[np.random.default_rng(seq).integers(0, len(x), size=len(x))]
+    keys += np.arange(0, 2 * m * n_trees, 2 * m)[:, None]
+    bins = np.bincount(keys.ravel(), minlength=2 * m * n_trees)
+    del keys
+    rows, af = bins[::2], bins[1::2]
+    rows += af
+    present = np.flatnonzero(rows)
+    rows, af = rows[present], af[present]
+    del bins
+    cum_rows = np.zeros(len(present) + 1, dtype=np.int64)
+    np.cumsum(rows, out=cum_rows[1:])
+    cum_af = np.zeros(len(present) + 1, dtype=np.int64)
+    np.cumsum(af, out=cum_af[1:])
+    tree_start = np.searchsorted(present, np.arange(n_trees + 1) * m)
+    return uniq[present % m], cum_rows, cum_af, tree_start
+
+
+def _best_splits(cum_rows, cum_af, lo, hi, rows, af):
+    """The split position of each node ``[lo, hi)``: the last value of
+    its left child. The candidates of all nodes lie end to end."""
+    n_cand = hi - lo - 1
+    first = np.cumsum(n_cand)
+    first -= n_cand
+    # after the value at position j, a node's left side holds the rows
+    # up to cum_rows[j + 1]
+    after = np.arange(first[-1] + n_cand[-1])
+    after += np.repeat(lo + 1 - first, n_cand)
+    n_left = cum_rows[after]
+    n_left -= np.repeat(cum_rows[lo], n_cand)
+    af_left = cum_af[after]
+    af_left -= np.repeat(cum_af[lo], n_cand)
+    del after
+    # (n0*g0 + n1*g1) / total with g = 2p(1-p), p = k / n; a side always
+    # holds a value, so n >= 1
+    score = np.zeros(len(n_left))
+    p, q = np.empty(len(n_left)), np.empty(len(n_left))
+    _add_weighted_gini(n_left, af_left, score, p, q)
+    np.subtract(np.repeat(rows, n_cand), n_left, out=n_left)
+    np.subtract(np.repeat(af, n_cand), af_left, out=af_left)
+    _add_weighted_gini(n_left, af_left, score, p, q)
+    del n_left, af_left, p, q
+    score /= np.repeat(rows, n_cand)
+    return lo + _first_best(score, first, n_cand) - first
+
+
+def _first_best(score, first, n_cand):
+    """The index in ``score`` of each node's split, where node i's
+    candidates are ``score[first[i]:first[i] + n_cand[i]]``, as a scan
+    in order picks it: it moves on only to a score lower by more than
+    1e-15.
+
+    The scan ends on a node's first minimum unless an earlier score lies
+    within 1e-15 above it. So take each node's first score that does
+    (the minimum itself qualifies) and replay the scan on the nodes
+    where that score is not the minimum.
+    """
+    best = np.minimum.reduceat(score, first)
+    near = np.flatnonzero(score - 1e-15 <= np.repeat(best, n_cand))
+    pick = near[np.searchsorted(near, first)]
+    for i in np.flatnonzero(score[pick] != best):
+        pick[i] = first[i] + _sequential_best(score[first[i]:first[i] + n_cand[i]])
+    return pick
+
+
+def _sequential_best(scores):
+    """The split a scan in order picks: it moves on only to a score
+    lower by more than 1e-15."""
+    best = None
     for i, score in enumerate(scores.tolist()):
         if best is None or score < best - 1e-15:
             best, best_i = score, i
-    lo, hi = uniq[best_i], uniq[best_i + 1]
-    thr = (lo + hi) / 2.0
-    if not thr < hi:  # the midpoint of two adjacent floats rounded up
-        thr = lo
-    n_left = nl[best_i]
-    left_thr, left_leaves = _grow_tree(xs[:n_left], ys[:n_left], depth + 1, max_depth)
-    right_thr, right_leaves = _grow_tree(xs[n_left:], ys[n_left:], depth + 1, max_depth)
-    return left_thr + [float(thr)] + right_thr, left_leaves + right_leaves
+    return best_i
+
+
+def _add_weighted_gini(n, k, score, p, q):
+    """Add n * ((2 * p) * (1 - p)) with p = k / n to ``score``; ``p``
+    and ``q`` are scratch arrays."""
+    np.divide(k, n, out=p)
+    np.subtract(1.0, p, out=q)
+    p *= 2.0
+    p *= q
+    p *= n
+    score += p
+
+
+def _grow_forest(values, cum_rows, cum_af, tree_start, max_depth):
+    """Grow every tree at once, one depth per pass over all live nodes.
+
+    A node is a range ``[lo, hi)`` of the flat value array. It is a leaf
+    at ``max_depth``, when pure or when it holds one value; its leaf is
+    its AF fraction. Otherwise it splits where the Gini score of its
+    two sides is lowest. Returns the thresholds and the leaves of all
+    trees, each tree in order and the trees in order, and the bounds of
+    each tree in both arrays.
+    """
+    lo, hi = tree_start[:-1], tree_start[1:]
+    leaf_at, leaves = [], []
+    split_at, thresholds = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    for depth in itertools.count():
+        rows = cum_rows[hi] - cum_rows[lo]
+        af = cum_af[hi] - cum_af[lo]
+        grow = (af > 0) & (af < rows) & (hi - lo > 1) & (depth < max_depth)
+        done = ~grow
+        leaf_at.append(lo[done])
+        leaves.append(af[done] / rows[done])
+        if not grow.any():
+            break
+        lo, hi = lo[grow], hi[grow]
+        j = _best_splits(cum_rows, cum_af, lo, hi, rows[grow], af[grow])
+        a, b = values[j], values[j + 1]
+        thr = (a + b) / 2.0
+        # the midpoint of two adjacent floats may round onto the upper one
+        thresholds.append(np.where(thr < b, thr, a))
+        split_at.append(j)
+        lo, hi = np.concatenate((lo, j + 1)), np.concatenate((j + 1, hi))
+    # in-order within a tree is the order of flat positions
+    leaf_at, split_at = np.concatenate(leaf_at), np.concatenate(split_at)
+    leaf_order, split_order = np.argsort(leaf_at), np.argsort(split_at)
+    return (
+        np.concatenate(thresholds)[split_order],
+        np.concatenate(leaves)[leaf_order],
+        np.searchsorted(split_at[split_order], tree_start).tolist(),
+        np.searchsorted(leaf_at[leaf_order], tree_start).tolist(),
+    )
 
 
 def train_rf(
@@ -229,17 +340,17 @@ def train_rf(
         raise ConfigError(f"no training rows for method {method!r}")
     if len(np.unique(x)) == 1:
         return RandomForestModel(np.empty(0), np.array([np.mean(y)]), method, len(x))
-    trees = []
-    for seq in np.random.SeedSequence(rng_seed).spawn(n_trees):
-        idx = np.random.default_rng(seq).integers(0, len(x), size=len(x))
-        trees.append(_grow_tree(x[idx], y[idx], 0, max_depth))
-    breaks = np.unique(np.concatenate([thr for thr, _ in trees]))
+    thresholds, leaves, thr_cut, leaf_cut = _grow_forest(
+        *_bootstrap_counts(x, y, n_trees, rng_seed), max_depth
+    )
+    breaks = np.unique(thresholds)
     # every tree is constant between breaks: take its leaf at each
     # break and above the last, adding the trees in order
     points = np.append(breaks, np.inf)
     total = np.zeros(len(points))
-    for thr, leaves in trees:
-        total += np.array(leaves)[np.searchsorted(thr, points)]
+    for t in range(n_trees):
+        thr = thresholds[thr_cut[t]:thr_cut[t + 1]]
+        total += leaves[leaf_cut[t]:leaf_cut[t + 1]][np.searchsorted(thr, points)]
     return RandomForestModel(breaks, total / n_trees, method, len(x))
 
 

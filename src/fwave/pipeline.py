@@ -157,6 +157,7 @@ class PipelineConfig:
                     and lo <= f0[0] <= f0[1] <= hi):
                 raise ConfigError("config key synth.f0_range must be two finite numbers "
                                   f"[low, high] within [{lo:g}, {hi:g}] Hz")
+            synth.check_corpus(block["n_af"], block["n_sinus"], block["fs"], block["duration_s"])
             self.synth = block
         for m in self.extractors:
             if m not in METHODS:

@@ -31,6 +31,26 @@ R_AMPLITUDE_MV = 1.4
 F0_BAND_HZ = (4.0, 12.0)  # the f-wave fundamentals the generator accepts
 
 
+def check_record(fs, duration_s) -> None:
+    """Raise ConfigError, naming the synth config key, unless a record
+    of this rate and length can be generated."""
+    if not fs > 0:
+        raise ConfigError(f"synth.fs must be positive, got {fs}")
+    if not duration_s >= 10:
+        raise ConfigError(f"synth.duration_s must be at least 10 s, got {duration_s}")
+
+
+def check_corpus(n_af, n_sinus, fs, duration_s) -> None:
+    """Raise ConfigError, naming the synth config key, unless
+    ``generate_corpus`` can build a corpus of these sizes."""
+    for key, n in (("n_af", n_af), ("n_sinus", n_sinus)):
+        if n < 0:
+            raise ConfigError(f"synth.{key} must be >= 0, got {n}")
+    if n_af + n_sinus < 1:
+        raise ConfigError("synth.n_af + synth.n_sinus must be >= 1: the corpus needs a record")
+    check_record(fs, duration_s)
+
+
 @dataclass
 class SynthConfig:
     fs: float = 200.0
@@ -55,8 +75,7 @@ class SynthConfig:
     def __post_init__(self) -> None:
         if self.rhythm not in ("AF", "sinus"):
             raise ConfigError(f"unknown rhythm {self.rhythm!r}")
-        if self.fs <= 0 or self.duration_s < 10:
-            raise ConfigError("fs must be positive and duration at least 10 s")
+        check_record(self.fs, self.duration_s)
         if self.rhythm == "AF":
             if self.fwave_f0 is None:
                 raise ConfigError("AF rhythm requires fwave_f0")
@@ -211,8 +230,7 @@ def generate_corpus(
     Per-record seeds are derived from rng_seed, so the corpus is
     reproducible and records are independent.
     """
-    if n_af < 0 or n_sinus < 0 or n_af + n_sinus < 1:
-        raise ConfigError("corpus needs at least one record")
+    check_corpus(n_af, n_sinus, fs, duration_s)
     seq = np.random.SeedSequence(rng_seed)
     children = seq.spawn(n_af + n_sinus)
     master = np.random.default_rng(seq.spawn(1)[0])

@@ -373,6 +373,10 @@ BAD_VALUES = [
     ("bsqi_threshold", 2.0, "bsqi_threshold"),
     ("bsqi_threshold", -1.0, "bsqi_threshold"),
     ("window_s", 4.0, "window_s"),
+    ("synth", {"duration_s": 5.0}, "synth.duration_s"),
+    ("synth", {"fs": 0}, "synth.fs"),
+    ("synth", {"n_af": -1}, "synth.n_af"),
+    ("synth", {"n_af": 0, "n_sinus": 0}, "synth.n_sinus"),
 ]
 
 
@@ -382,6 +386,7 @@ class TestExitCodes:
         cfg = _config(tmp_path, **{key: value})
         assert main(["run", "--config", cfg]) == 2
         _one_line_error(capsys, needle)
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key, value, needle", BAD_VALUES)
     def test_bad_value_fails_construction(self, key, value, needle):

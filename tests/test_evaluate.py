@@ -4,10 +4,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fwave.evaluate
+import fwave.pipeline
 from fwave.errors import ConfigError, FormatError
 from fwave.evaluate import (
     ClassifierMetrics,
     FeatureTable,
+    RandomForestModel,
     auroc_rank,
     evaluate_model,
     predict_proba,
@@ -20,9 +22,96 @@ from fwave.pipeline import PipelineConfig, stage_eval
 WELCH_BIN_HZ = 200.0 / 8192  # DAF grid of the default 10 s Welch segments
 
 
-# Oracle for the forest's split search: a scan that masks both sides of
-# every threshold and scores each with _gini. The prefix-sum sweep in
-# fwave.evaluate must grow the same trees bit for bit.
+# Oracles for the forest. _grow_tree grows one tree by recursion, one
+# node per call, with a prefix-sum sweep per node; _train_rf_reference
+# averages such trees over train_rf's bootstrap samples into the step
+# function. fwave.evaluate.train_rf, which grows all trees together
+# level by level, must build the same forest bit for bit.
+# _grow_tree_reference is the oracle of _grow_tree's split search: a scan
+# that masks both sides of every threshold and scores each with _gini.
+def _grow_tree(x, y, depth, max_depth):
+    """A tree as its in-order lists (thresholds, leaves): a value takes
+    the leaf indexed by the count of thresholds below it, as it goes left
+    at every threshold it does not exceed. Leaves are float AF fractions."""
+    if depth >= max_depth or len(np.unique(y)) == 1:
+        return [], [float(np.mean(y))]
+    order = np.argsort(x, kind="stable")
+    xs, ys = x[order], y[order]
+    uniq = np.unique(xs)
+    if len(uniq) < 2:
+        return [], [float(np.mean(y))]
+    # the split after uniq[i] puts every row <= uniq[i] on the left, a
+    # prefix of the sorted rows: row 0 of n and k holds the left sizes
+    # and AF counts, row 1 the right
+    total = len(ys)
+    nl = np.searchsorted(xs, uniq[:-1], side="right")
+    af_left = np.concatenate(([0], np.cumsum(ys)))[nl]
+    n = np.array([nl, total - nl])
+    k = np.array([af_left, ys.sum() - af_left])
+    p = k / np.maximum(n, 1)  # an empty side has Gini 0
+    g = 2.0 * p * (1.0 - p)
+    scores = (n[0] * g[0] + n[1] * g[1]) / total
+    best = None  # move on only to a score lower by more than 1e-15
+    for i, score in enumerate(scores.tolist()):
+        if best is None or score < best - 1e-15:
+            best, best_i = score, i
+    lo, hi = uniq[best_i], uniq[best_i + 1]
+    thr = (lo + hi) / 2.0
+    if not thr < hi:  # the midpoint of two adjacent floats rounded up
+        thr = lo
+    n_left = nl[best_i]
+    left_thr, left_leaves = _grow_tree(xs[:n_left], ys[:n_left], depth + 1, max_depth)
+    right_thr, right_leaves = _grow_tree(xs[n_left:], ys[n_left:], depth + 1, max_depth)
+    return left_thr + [float(thr)] + right_thr, left_leaves + right_leaves
+
+
+def _train_rf_reference(table, method, n_trees=100, max_depth=4, rng_seed=0):
+    """train_rf with one _grow_tree per bootstrap sample: the same draws,
+    and the same additions in tree order."""
+    x, y, _ = table.select(method=method, split="train")
+    if len(np.unique(x)) == 1:
+        return RandomForestModel(np.empty(0), np.array([np.mean(y)]), method, len(x))
+    trees = []
+    for seq in np.random.SeedSequence(rng_seed).spawn(n_trees):
+        idx = np.random.default_rng(seq).integers(0, len(x), size=len(x))
+        trees.append(_grow_tree(x[idx], y[idx], 0, max_depth))
+    breaks = np.unique(np.concatenate([thr for thr, _ in trees]))
+    points = np.append(breaks, np.inf)
+    total = np.zeros(len(points))
+    for thr, leaves in trees:
+        total += np.array(leaves)[np.searchsorted(thr, points)]
+    return RandomForestModel(breaks, total / n_trees, method, len(x))
+
+
+def _assert_same_forest(model, reference):
+    assert model.breaks.tobytes() == reference.breaks.tobytes()
+    assert model.probs.tobytes() == reference.probs.tobytes()
+
+
+def _train_table(x, y):
+    """Every row a training row of method "vote"."""
+    return FeatureTable([f"w{i:03d}" for i in range(len(x))], ["vote"] * len(x), list(x),
+                        ["AF" if v else "non-AF" for v in y], ["train"] * len(x))
+
+
+def _scan_in_order(scores):
+    """_grow_tree's pick among one node's split scores."""
+    best = None
+    for i, score in enumerate(scores):
+        if best is None or score < best - 1e-15:
+            best, best_i = score, i
+    return best_i
+
+
+def _no_ulp_pair(x):
+    """No two adjacent feature values have a midpoint that rounds onto
+    the upper one. _grow_tree_reference splits such a pair at that
+    midpoint and grows a nan leaf, where _grow_tree splits at the lower
+    value (see test_adjacent_floats_split_without_nan)."""
+    u = np.unique(x)
+    return bool(np.all((u[:-1] + u[1:]) / 2.0 < u[1:]))
+
+
 def _grow_tree_reference(x, y, depth, max_depth, rng=None):
     """Nodes are (threshold, left, right); leaves are float AF fractions."""
     if depth >= max_depth or len(np.unique(y)) == 1:
@@ -60,7 +149,7 @@ def _gini(y):
 
 def _steps(tree):
     """A nested (threshold, left, right) tree as the in-order
-    (thresholds, leaves) lists that fwave.evaluate._grow_tree returns."""
+    (thresholds, leaves) lists that _grow_tree returns."""
     if not isinstance(tree, tuple):
         return [], [tree]
     thr, left, right = tree
@@ -98,16 +187,24 @@ def _predict_reference(trees, x):
 @st.composite
 def _tree_inputs(draw):
     """A feature vector (continuous, on the Welch grid, a handful of
-    repeated values or a single one), 0/1 labels and a depth limit."""
-    n = draw(st.integers(2, 200))
-    kind = draw(st.sampled_from(["continuous", "welch", "repeated", "single"]))
+    repeated values, small integers, a single value, or floats one ulp
+    apart), 0/1 labels and a depth limit."""
+    n = draw(st.integers(2, 250))
+    kind = draw(st.sampled_from(["continuous", "welch", "repeated", "integer", "single", "ulp"]))
     if kind == "continuous":
         x = draw(st.lists(st.floats(4.0, 12.0), min_size=n, max_size=n))
     elif kind == "welch":
         bins = draw(st.lists(st.integers(164, 492), min_size=n, max_size=n))
         x = [k * WELCH_BIN_HZ for k in bins]
+    elif kind == "integer":
+        x = draw(st.lists(st.integers(4, 12).map(float), min_size=n, max_size=n))
     elif kind == "single":
         x = [draw(st.floats(4.0, 12.0))] * n
+    elif kind == "ulp":
+        pool = [draw(st.floats(4.0, 12.0))]
+        for _ in range(draw(st.integers(1, 3))):
+            pool.append(float(np.nextafter(pool[-1], np.inf)))
+        x = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
     else:
         pool = draw(st.lists(st.floats(4.0, 12.0).map(lambda v: round(v, 6)),
                              min_size=1, max_size=5))
@@ -248,29 +345,67 @@ class TestRandomForest:
         with pytest.raises(ConfigError, match="TS_PCA"):
             train_rf(t, "TS_PCA")
 
-    @given(_tree_inputs())
+    @given(_tree_inputs(), st.integers(1, 60), st.integers(0, 2**32 - 1))
     # two root thresholds score equal up to rounding here: the first must
     # win, as with the 1e-15 rule, where argmin would take the other
     @example((np.array([390, 434, 443, 410, 355, 488, 286, 279]) * WELCH_BIN_HZ,
-              np.array([0, 0, 0, 1, 1, 1, 1, 0]), 1))
+              np.array([0, 0, 0, 1, 1, 1, 1, 0]), 1), 10, 2)
     @settings(max_examples=200, deadline=None)
-    def test_grow_tree_matches_reference(self, case):
+    def test_grow_tree_matches_reference(self, case, n_trees, seed):
         x, y, max_depth = case
-        # the one exclusion: the reference splits two adjacent floats at a
-        # midpoint that rounds onto the upper one and grows a nan leaf,
-        # where _grow_tree splits at the lower one (see the test below)
-        u = np.unique(x)
-        assume(np.all((u[:-1] + u[1:]) / 2.0 < u[1:]))
-        assert fwave.evaluate._grow_tree(x, y, 0, max_depth) == _steps(
-            _grow_tree_reference(x, y, 0, max_depth)
-        )
+        t = _train_table(x, y)
+        _assert_same_forest(train_rf(t, "vote", n_trees, max_depth, seed),
+                            _train_rf_reference(t, "vote", n_trees, max_depth, seed))
+        if _no_ulp_pair(x):  # the one case the masking reference gets wrong
+            assert _grow_tree(x, y, 0, max_depth) == _steps(
+                _grow_tree_reference(x, y, 0, max_depth)
+            )
 
     def test_adjacent_floats_split_without_nan(self):
         lo = np.nextafter(12.0, 0)
         assert (lo + 12.0) / 2.0 == 12.0  # the midpoint rounds onto the upper value
         x = np.array([12.0, lo, 12.0, lo])
         y = np.array([1, 0, 1, 0])
-        assert fwave.evaluate._grow_tree(x, y, 0, 4) == ([lo], [0.0, 1.0])
+        assert _grow_tree(x, y, 0, 4) == ([lo], [0.0, 1.0])
+        t = _train_table(x, y)
+        model = train_rf(t, "vote", n_trees=20, rng_seed=0)
+        _assert_same_forest(model, _train_rf_reference(t, "vote", n_trees=20, rng_seed=0))
+        assert model.breaks.tolist() == [lo]
+        assert not np.isnan(model.probs).any()
+
+    def test_near_tie_replays_the_scan_in_order(self, monkeypatch):
+        # in one tree a node's candidate scores read 0.20000000000000004
+        # and then 0.19999999999999996: they differ by less than 1e-15, so
+        # the scan in order keeps the first, where argmin takes the second
+        x = np.array([390, 434, 443, 410, 355, 488, 286, 279]) * WELCH_BIN_HZ
+        y = np.array([0, 0, 0, 1, 1, 1, 1, 0])
+        replays = []
+        scan = fwave.evaluate._sequential_best
+
+        def counted(scores):
+            replays.append((scores.tolist(), scan(scores)))
+            return replays[-1][1]
+
+        monkeypatch.setattr(fwave.evaluate, "_sequential_best", counted)
+        t = _train_table(x, y)
+        model = train_rf(t, "vote", n_trees=5, max_depth=1, rng_seed=2)
+        assert all(pick == _scan_in_order(scores) for scores, pick in replays)
+        assert any(pick != np.argmin(scores) for scores, pick in replays)
+        _assert_same_forest(model, _train_rf_reference(t, "vote", 5, 1, 2))
+
+    @given(st.lists(st.lists(st.integers(0, 4), min_size=1, max_size=6), min_size=1, max_size=8),
+           st.sampled_from([0.125, 0.5, 0.3]))
+    @settings(max_examples=200, deadline=None)
+    def test_first_best_is_the_scan_in_order(self, nodes, base):
+        # scores a few tenths of 1e-15 apart: a node's first minimum, its
+        # first score within 1e-15 of the minimum and the scan in order
+        # can pick three different candidates, e.g. [4, 2, 1, 0] * 0.4e-15
+        scores = [[base + 0.4e-15 * k for k in node] for node in nodes]
+        n_cand = np.array([len(node) for node in nodes])
+        first = np.cumsum(n_cand) - n_cand
+        expected = [start + _scan_in_order(node) for node, start in zip(scores, first)]
+        flat = np.array([v for node in scores for v in node])
+        assert fwave.evaluate._first_best(flat, first, n_cand).tolist() == expected
 
     def test_predict_proba_matches_per_value_walk(self):
         rng = np.random.default_rng(6)
@@ -287,27 +422,26 @@ class TestRandomForest:
     @settings(max_examples=100, deadline=None)
     def test_predict_proba_is_the_reference_forest(self, case, n_trees, seed, data):
         x, y, max_depth = case
-        u = np.unique(x)
-        assume(np.all((u[:-1] + u[1:]) / 2.0 < u[1:]))  # as in the grower test above
-        t = FeatureTable([f"w{i:03d}" for i in range(len(x))], ["vote"] * len(x), list(x),
-                         ["AF" if v else "non-AF" for v in y], ["train"] * len(x))
+        t = _train_table(x, y)
         model = train_rf(t, "vote", n_trees=n_trees, max_depth=max_depth, rng_seed=seed)
+        _assert_same_forest(model, _train_rf_reference(t, "vote", n_trees, max_depth, seed))
         q = np.array(data.draw(st.lists(st.floats(3.0, 13.0), max_size=50)), dtype=np.float64)
         q = np.concatenate([q, model.breaks, np.nextafter(model.breaks, -np.inf),
                             np.nextafter(model.breaks, np.inf)])
-        if len(u) == 1:  # no split exists: the forest predicts the training AF fraction
+        if len(np.unique(x)) == 1:  # no split exists: the forest predicts the training AF fraction
             expected = np.full(len(q), np.mean(y))
-        else:
+        elif _no_ulp_pair(x):
             expected = _predict_reference(
                 _reference_forest(t, "vote", n_trees, max_depth, seed), q
             )
+        else:  # the masking reference would grow a nan leaf
+            return
         assert np.array_equal(predict_proba(model, q), expected)
 
     def test_stage_eval_bytes_match_reference_forest(self, tmp_path, monkeypatch):
         table = _eval_table(seed=4)
         stage_eval(PipelineConfig(out_dir=str(tmp_path / "new"), seed=4), table=table)
-        monkeypatch.setattr(fwave.evaluate, "_grow_tree",
-                            lambda *args: _steps(_grow_tree_reference(*args)))
+        monkeypatch.setattr(fwave.pipeline, "train_rf", _train_rf_reference)
         stage_eval(PipelineConfig(out_dir=str(tmp_path / "ref"), seed=4), table=table)
         for name in ("features.csv", "metrics.json", "report.txt"):
             assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes(), name
