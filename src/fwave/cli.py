@@ -105,8 +105,8 @@ def main(argv=None) -> int:
             if getattr(args, "features", None):
                 from .evaluate import FeatureTable
 
-                if not os.path.exists(args.features):
-                    raise ConfigError(f"feature table {args.features} does not exist")
+                if not os.path.isfile(args.features):
+                    raise ConfigError(f"feature table {args.features} is not a file")
                 table = FeatureTable.from_csv(args.features)
             report = pipeline.stage_eval(cfg, table=table)
             print(json.dumps({m: report[m] for m in report["ranking"] + ["vote"]}, indent=1))

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import ConfigError, FormatError
 
 POSITIVE_LABEL = "AF"
+LABELS = (POSITIVE_LABEL, "non-AF")
 DEFAULT_THRESHOLD = 0.5
 REQUIRED_COLUMNS = ("window_id", "method", "daf_hz", "label")
 
@@ -81,8 +82,9 @@ class FeatureTable:
         """Read a table written by ``to_csv``; ``split`` may be absent.
 
         A missing column, a short row, a non-finite or non-numeric
-        ``daf_hz``, a second row for one (window_id, method) or bytes
-        that are not UTF-8 raise FormatError.
+        ``daf_hz``, a ``label`` other than ``AF`` or ``non-AF``, a second
+        row for one (window_id, method) or bytes that are not UTF-8 raise
+        FormatError.
         """
         wid, met, daf, lab, spl = [], [], [], [], []
         seen = set()
@@ -102,6 +104,11 @@ class FeatureTable:
                         raise FormatError(
                             f"{path}: line {reader.line_num}: need a finite daf_hz and "
                             f"all of {', '.join(REQUIRED_COLUMNS)}, got {values}"
+                        )
+                    if row["label"] not in LABELS:
+                        raise FormatError(
+                            f"{path}: line {reader.line_num}: label must be "
+                            f"{' or '.join(LABELS)}, got {row['label']!r}"
                         )
                     key = (row["window_id"], row["method"])
                     if key in seen:

@@ -196,9 +196,9 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path, **overrides) -> "PipelineConfig":
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"bad JSON in config {path}: {exc}") from None

@@ -11,7 +11,7 @@ report, so nothing downstream runs a detector again.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import signal as sig
+import scipy
 
 from .beats import _matched_mask, detect_r_peaks_energy, detect_r_peaks_matched, match_detections
 from .errors import ConfigError, SignalTooShortError
@@ -51,7 +51,7 @@ def bandpass_zero_phase(x, fs: float, spec: FilterSpec | None = None) -> np.ndar
         raise ConfigError(f"infeasible passband [{lo}, {hi}] Hz at fs={fs}")
     if fs <= 2 * lo:
         raise ConfigError(f"fs={fs} too low for band_low={lo}")
-    b, a = sig.butter(1, [lo, hi], btype="bandpass", fs=fs)
+    b, a = scipy.signal.butter(1, [lo, hi], btype="bandpass", fs=fs)
     order = max(len(a), len(b)) - 1
     if len(x) <= 6 * order:
         raise SignalTooShortError(
@@ -59,7 +59,7 @@ def bandpass_zero_phase(x, fs: float, spec: FilterSpec | None = None) -> np.ndar
         )
     # reflect-pad roughly 3x the slowest pole's settle time
     padlen = min(len(x) - 1, int(round(3.0 * fs / lo)))
-    return sig.filtfilt(b, a, x, padtype="even", padlen=padlen)
+    return scipy.signal.filtfilt(b, a, x, padtype="even", padlen=padlen)
 
 
 def notch_zero_phase(x, fs: float, spec: FilterSpec | None = None) -> np.ndarray:
@@ -73,11 +73,11 @@ def notch_zero_phase(x, fs: float, spec: FilterSpec | None = None) -> np.ndarray
     for key, value in (("notch_freq", spec.notch_freq), ("notch_q", spec.notch_q)):
         if not value > 0:
             raise ConfigError(f"filter.{key} must be positive, not {value}")
-    b, a = sig.iirnotch(spec.notch_freq, spec.notch_q, fs=fs)
+    b, a = scipy.signal.iirnotch(spec.notch_freq, spec.notch_q, fs=fs)
     if len(x) <= 12:
         raise SignalTooShortError(f"signal of {len(x)} samples too short for notch")
     padlen = min(len(x) - 1, int(round(3.0 * fs * spec.notch_q / spec.notch_freq)))
-    return sig.filtfilt(b, a, x, padtype="even", padlen=padlen)
+    return scipy.signal.filtfilt(b, a, x, padtype="even", padlen=padlen)
 
 
 def prefilter(x, fs: float, spec: FilterSpec | None = None) -> np.ndarray:

@@ -4,7 +4,7 @@ the median voting scheme across extraction methods."""
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sig
+import scipy
 
 from .errors import ConfigError, SignalTooShortError, VotingError
 
@@ -57,7 +57,7 @@ def welch_psd(
         )
     if nfft is None:
         nfft = 1 << int(np.ceil(np.log2(4 * nperseg)))
-    freqs, power = sig.welch(
+    freqs, power = scipy.signal.welch(
         x,
         fs=fs,
         window="hamming",

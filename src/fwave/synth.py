@@ -10,7 +10,7 @@ schedule.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import signal as sig
+import scipy
 
 from .errors import ConfigError
 
@@ -160,8 +160,8 @@ def _artifact(cfg: SynthConfig, n: int, rng) -> np.ndarray:
     usual shape of motion/respiration baseline disturbance.
     """
     white = rng.standard_normal(n + 2000)
-    b, a = sig.butter(1, 1.0, btype="low", fs=cfg.fs)
-    colored = sig.lfilter(b, a, white)[2000:]
+    b, a = scipy.signal.butter(1, 1.0, btype="low", fs=cfg.fs)
+    colored = scipy.signal.lfilter(b, a, white)[2000:]
     rms = np.sqrt(np.mean(colored**2))
     if rms == 0:
         return np.zeros(n)

@@ -3,6 +3,8 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -221,6 +223,10 @@ class TestStageOrder:
         assert main(["eval", "--features", missing, "--out", str(tmp_path / "o")]) == 2
         _one_line_error(capsys, missing)
 
+    def test_feature_table_is_a_directory(self, tmp_path, capsys):
+        assert main(["eval", "--features", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
+        _one_line_error(capsys, str(tmp_path), "not a file")
+
 
 class TestRecordingPaths:
     """A ``recordings`` entry naming a file that does not exist exits with
@@ -422,6 +428,12 @@ class TestExitCodes:
     def test_unreadable_config_is_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "missing.json")]) == 2
 
+    def test_non_utf8_config_is_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xff\xfe\x00")
+        assert main(["run", "--config", str(path)]) == 2
+        _one_line_error(capsys, "cannot read config", str(path))
+
     def test_non_object_config_is_2(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text("[1, 2]")
@@ -526,9 +538,52 @@ class TestEvalOnFeatureTable:
         (b"window_id,method,daf_hz,label,split\nw0,vote,6.1,AF,tr\xe4in\n", "utf-8"),
         (b"window_id,method,daf_hz,label,split\nw0,vote,6.1,AF,train\n"
          b"w0,vote,6.2,AF,train\n", "line 3"),
-    ], ids=["no_daf_column", "non_numeric", "non_utf8", "repeated_row"])
+        (b"window_id,method,daf_hz,label,split\nw0,vote,6.1,af,train\n", "line 2"),
+        (b"window_id,method,daf_hz,label,split\nw0,vote,6.1,AF,train\n"
+         b"w1,vote,9.8,XX,train\n", "'XX'"),
+    ], ids=["no_daf_column", "non_numeric", "non_utf8", "repeated_row", "lowercase_label",
+            "unknown_label"])
     def test_malformed_table_is_exit_1(self, tmp_path, capsys, data, needle):
         feat = tmp_path / "features.csv"
         feat.write_bytes(data)
         assert main(["eval", "--features", str(feat), "--out", str(tmp_path / "o")]) == 1
         _one_line_error(capsys, str(feat), needle, prefix="error: ")
+
+
+class TestColdStart:
+    """Each check runs in a fresh interpreter: the test run itself has
+    long since loaded ``scipy.signal`` through the shared fixtures."""
+
+    SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    SCRIPT = (
+        "import sys\n"
+        "from fwave import cli\n"
+        "loaded = 'scipy.signal' in sys.modules\n"
+        "rc = cli.main(sys.argv[1:])\n"
+        "print(rc, loaded, 'scipy.signal' in sys.modules)\n"
+    )
+
+    def _fresh(self, *argv):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [self.SRC, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-1].split()
+
+    def test_eval_on_a_feature_table_never_loads_scipy_signal(self, tmp_path):
+        rows = ["window_id,method,daf_hz,label,split"]
+        for i in range(10):
+            split = "train" if i < 8 else "test"
+            for method in ("TS_B", "TS_CE", "TS_SU", "TS_PCA"):
+                rows.append(f"af{i:02d},{method},{6 + i / 10},AF,{split}")
+                rows.append(f"ns{i:02d},{method},{9 + i / 10},non-AF,{split}")
+        feat = tmp_path / "features.csv"
+        feat.write_text("\n".join(rows) + "\n")
+        out = str(tmp_path / "o")
+        assert self._fresh("eval", "--features", str(feat), "--out", out) == ["0", "False", "False"]
+        assert os.path.exists(os.path.join(out, "metrics.json"))
+
+    def test_run_loads_scipy_signal_on_first_filter(self, tmp_path):
+        cfg = _config(tmp_path, window_s=12.0, synth={"n_af": 5, "n_sinus": 5, "duration_s": 12.0})
+        assert self._fresh("run", "--config", cfg) == ["0", "False", "True"]

@@ -605,7 +605,10 @@ class TestFeatureTableCsv:
         ("window_id,method,daf_hz,label\nw0,vote,nan,AF\n", "line 2"),
         ("window_id,method,daf_hz,label\nw0,vote,6.5\n", "line 2"),
         ("", "missing column(s) window_id"),
-    ], ids=["no_daf_column", "non_numeric", "non_finite", "short_row", "empty_file"])
+        ("window_id,method,daf_hz,label\nw0,vote,6.5,AF\nw1,vote,9.5,af\n", "line 3"),
+        ("window_id,method,daf_hz,label\nw0,vote,6.5,XX\n", "label must be AF or non-AF"),
+    ], ids=["no_daf_column", "non_numeric", "non_finite", "short_row", "empty_file",
+            "lowercase_label", "unknown_label"])
     def test_malformed_table_is_a_format_error(self, tmp_path, text, needle):
         p = tmp_path / "f.csv"
         p.write_text(text)
