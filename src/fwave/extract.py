@@ -16,9 +16,12 @@ One ``BeatMatrix`` per window (``beat_matrix``) holds what the four
 share: the beats whose full template span fits inside the signal, their
 R-aligned (beats x span) stack, its mean template and each beat's span,
 clipped at the following beat's span start so spans never overlap.
-Every extractor takes that matrix and runs the same subtraction loop
-over those spans; beats too close to the edges for a full span, and
-samples outside every span, pass through unchanged.
+Every extractor builds from that matrix its model of each beat, a
+(beats x span) matrix: the template, the template times a gain per beat
+or per sample, or a low-rank reconstruction. One gather/scatter then
+subtracts each model row from its beat's span; beats too close to the
+edges for a full span, and samples outside every span, pass through
+unchanged.
 """
 
 from dataclasses import dataclass, field
@@ -46,6 +49,8 @@ class BeatMatrix:
     template: np.ndarray  # stack mean: one R-aligned cardiac cycle
     starts: np.ndarray  # per kept beat: span start, R - pre
     ends: np.ndarray  # per kept beat: span end, clipped at the next beat's start
+    row: np.ndarray  # per sample of the concatenated spans: its kept beat
+    col: np.ndarray  # per sample of the concatenated spans: its offset in the span
 
 
 @dataclass
@@ -80,64 +85,61 @@ def beat_matrix(x, beats: BeatMap, min_beats: int = DEFAULT_MIN_BEATS) -> BeatMa
     ends = starts + pre + post + 1
     inner = kept + 1 < len(r)
     ends[inner] = np.minimum(ends[inner], r[kept[inner] + 1] - pre)
-    return BeatMatrix(x, beats, kept, stack, template, starts, ends)
+    lengths = ends - starts
+    row = np.repeat(np.arange(len(kept)), lengths)
+    col = np.arange(len(row)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return BeatMatrix(x, beats, kept, stack, template, starts, ends, row, col)
 
 
-def _subtract(bm: BeatMatrix, method, gain=None, rows=None, flags=None):
-    """Shared subtraction loop over the kept beats' clipped spans.
-
-    Each span loses ``g * model``: the model is the template, or the
-    beat's own row of ``rows``; g is 1, or whatever
-    ``gain(xb, tb, start, index, flags, log)`` returns for the beat at
-    ``beats.r_peaks[index]``. gain appends what it wants recorded per
-    beat to ``log`` and any warning to ``flags``.
-    """
-    flags = [] if flags is None else flags
+def _subtract(bm: BeatMatrix, method, model, gains=None, flags=()):
+    """Subtract from each kept beat's clipped span its row of ``model``
+    (kept beats x span), in one gather/scatter over all spans."""
     residual = bm.x.copy()
-    spans, log = [], []
-    for j, (i, a, b) in enumerate(zip(bm.kept.tolist(), bm.starts.tolist(), bm.ends.tolist())):
-        xb = bm.x[a:b]
-        tb = (bm.template if rows is None else rows[j])[: b - a]
-        g = 1.0 if gain is None else gain(xb, tb, a, i, flags, log)
-        residual[a:b] = xb - g * tb
-        spans.append((a, b))
+    pos = bm.starts[bm.row] + bm.col
+    residual[pos] = bm.x[pos] - model[bm.row, bm.col]
     return FWaveSignal(
         residual=residual,
         method=method,
-        beats_used=len(spans),
-        per_beat_gains=np.array(log) if log else np.empty((0,)),
-        spans=spans,
-        flags=flags,
+        beats_used=len(bm.kept),
+        per_beat_gains=np.empty((0,)) if gains is None else gains,
+        spans=list(zip(bm.starts.tolist(), bm.ends.tolist())),
+        flags=list(flags),
     )
 
 
 def ts_basic(bm: BeatMatrix) -> FWaveSignal:
     """Subtract the R-aligned average template at every beat (gain 1)."""
-    return _subtract(bm, "TS_B")
+    return _subtract(bm, "TS_B", np.broadcast_to(bm.template, bm.stack.shape))
 
 
-def _ls_gain(xb, tb):
-    denom = float(np.dot(tb, tb))
-    if denom == 0.0:
-        return None
-    g = float(np.dot(xb, tb)) / denom
-    return min(max(g, GAIN_CLAMP[0]), GAIN_CLAMP[1])
+def _ls_gains(bm: BeatMatrix, cuts):
+    """Clamped least-squares gains a = <x, t> / <t, t> of every kept beat's
+    sub-spans [cuts[j, k], cuts[j, k + 1]), where cuts[j, 0] is the span
+    start. A flat (zero-energy, or empty) template sub-span gets gain 0;
+    returns the (beats x sub-spans) gains and a mask of the flat ones.
+    """
+    t = bm.template
+    gains, flat = [], []
+    for bounds in cuts.tolist():
+        a = bounds[0]
+        for s0, s1 in zip(bounds, bounds[1:]):
+            tb = t[s0 - a : s1 - a]
+            denom = float(np.dot(tb, tb))
+            flat.append(denom == 0.0)
+            g = 0.0 if flat[-1] else float(np.dot(bm.x[s0:s1], tb)) / denom
+            gains.append(min(max(g, GAIN_CLAMP[0]), GAIN_CLAMP[1]))
+    shape = (len(cuts), cuts.shape[1] - 1)
+    return np.array(gains).reshape(shape), np.array(flat, dtype=bool).reshape(shape)
 
 
 def ts_scaled(bm: BeatMatrix) -> FWaveSignal:
     """One least-squares gain per beat: a = <x, t> / <t, t>, clamped."""
     if float(np.dot(bm.template, bm.template)) == 0.0:
         raise ExtractionError("flat template: cannot fit a gain")
-
-    def gain(xb, tb, a, i, flags, log):
-        g = _ls_gain(xb, tb)
-        if g is None:
-            flags.append(f"flat template slice at beat {bm.beats.r_peaks[i]}")
-            g = 0.0
-        log.append(g)
-        return g
-
-    return _subtract(bm, "TS_CE", gain)
+    g, flat = _ls_gains(bm, np.stack([bm.starts, bm.ends], axis=1))
+    r = bm.beats.r_peaks[bm.kept]
+    flags = [f"flat template slice at beat {rp}" for rp in r[flat[:, 0]].tolist()]
+    return _subtract(bm, "TS_CE", g * bm.template, g[:, 0], flags)
 
 
 def ts_segment_scaled(bm: BeatMatrix) -> FWaveSignal:
@@ -147,39 +149,32 @@ def ts_segment_scaled(bm: BeatMatrix) -> FWaveSignal:
     a degenerate (flat) template sub-window gets gain 0 and a flag.
     """
     fade = int(round(CROSSFADE_S * bm.beats.fs))
-
-    def gain(xb, tb, a, i, flags, log):
-        b = a + len(xb)
-        r = bm.beats.r_peaks[i]
-        p_on, qrs_on, qrs_off, _ = bm.beats.fiducials[i]
-        # segment boundaries inside [a, b)
-        b1 = int(np.clip(qrs_on, a, b))
-        b2 = int(np.clip(qrs_off, a, b))
-        g = np.empty(b - a, dtype=np.float64)
-        segs = ((a, b1, "P"), (b1, b2, "QRS"), (b2, b, "T"))
-        seg_gain = []
-        for s0, s1, name in segs:
-            if s1 <= s0:
-                seg_gain.append(0.0)
-                continue
-            gi = _ls_gain(xb[s0 - a : s1 - a], tb[s0 - a : s1 - a])
-            if gi is None:
-                flags.append(f"degenerate {name} segment at beat {r}")
-                gi = 0.0
-            seg_gain.append(gi)
-        g[: b1 - a] = seg_gain[0]
-        g[b1 - a : b2 - a] = seg_gain[1]
-        g[b2 - a :] = seg_gain[2]
-        for boundary, left, right in ((b1, seg_gain[0], seg_gain[1]), (b2, seg_gain[1], seg_gain[2])):
-            lo = max(a, boundary - fade // 2)
-            hi = min(b, boundary + fade - fade // 2)
-            if hi > lo:
-                ramp = np.linspace(0.0, 1.0, hi - lo)
-                g[lo - a : hi - a] = left + (right - left) * ramp
-        log.append(tuple(seg_gain))
-        return g
-
-    return _subtract(bm, "TS_SU", gain)
+    a, b = bm.starts, bm.ends
+    fid = bm.beats.fiducials[bm.kept]
+    # segment boundaries inside [a, b)
+    b1, b2 = np.clip(fid[:, 1], a, b), np.clip(fid[:, 2], a, b)
+    cuts = np.stack([a, b1, b2, b], axis=1)
+    g, flat = _ls_gains(bm, cuts)
+    r = bm.beats.r_peaks[bm.kept].tolist()
+    # an empty segment gets gain 0 without a flag
+    flags = [f"degenerate {('P', 'QRS', 'T')[k]} segment at beat {r[j]}"
+             for j, k in zip(*np.nonzero(flat & (np.diff(cuts, axis=1) > 0)))]
+    # per-sample gains: P before b1, QRS from b1, T from b2, where T wins if b2 < b1
+    col = np.arange(bm.stack.shape[1])
+    c1, c2 = (b1 - a)[:, None], (b2 - a)[:, None]
+    gain = np.where(col >= c2, g[:, 2:], np.where(col < c1, g[:, :1], g[:, 1:2]))
+    # crossfades of up to `fade` samples, clipped to the span; one ramp per length
+    ramps = np.zeros((fade + 1, fade))
+    for n in range(1, fade + 1):
+        ramps[n, :n] = np.linspace(0.0, 1.0, n)
+    step = np.arange(fade)
+    for boundary, left, right in ((b1, g[:, 0], g[:, 1]), (b2, g[:, 1], g[:, 2])):
+        lo = np.maximum(a, boundary - fade // 2)
+        hi = np.minimum(b, boundary + fade - fade // 2)
+        width = np.maximum(hi - lo, 0)
+        j, i = np.nonzero(step < width[:, None])
+        gain[j, lo[j] - a[j] + i] = left[j] + (right[j] - left[j]) * ramps[width[j], i]
+    return _subtract(bm, "TS_SU", gain * bm.template, g, flags)
 
 
 def ts_pca(bm: BeatMatrix, var_target: float = 0.95, max_rank: int = 3) -> FWaveSignal:
@@ -202,7 +197,7 @@ def ts_pca(bm: BeatMatrix, var_target: float = 0.95, max_rank: int = 3) -> FWave
         k = int(np.searchsorted(frac, var_target - 1e-12) + 1)
     k = min(k, max_rank, len(s))
     recon = (u[:, :k] * s[:k]) @ vt[:k]
-    return _subtract(bm, "TS_PCA", rows=recon, flags=[f"rank={k}"])
+    return _subtract(bm, "TS_PCA", recon, flags=[f"rank={k}"])
 
 
 _EXTRACTORS = {

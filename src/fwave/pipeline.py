@@ -17,7 +17,9 @@ window writes them. Each record is filtered whole, and a filter that
 cannot be applied raises ConfigError, as does a stage whose input is
 missing (e.g. ``daf`` before ``extract``: the message names the file and
 the stage that writes it) and a ``recordings`` entry naming no file
-(the message names the path and its config key).
+(the message names the path and its config key). A manifest or
+``windows.json`` that is not what its stage writes raises FormatError,
+named the same way.
 
 A window whose data fails (ExtractionError, SignalTooShortError) lands
 in the exclusion ledger and the run continues; any other error ends the
@@ -44,6 +46,7 @@ from .beats import detect_r_peaks_energy, segment_fiducials  # noqa: F401
 from .errors import (
     ConfigError,
     ExtractionError,
+    FormatError,
     NoUsableWindowsError,
     SignalTooShortError,
     VotingError,
@@ -224,6 +227,30 @@ def _require(path, stage) -> None:
         raise ConfigError(f"missing {path}: it is written by `fwave {stage}`, run that first")
 
 
+def _malformed(path, stage, why) -> FormatError:
+    return FormatError(f"malformed {path} ({why}): it is written by `fwave {stage}`, "
+                       "run that again")
+
+
+def _read_list(path, stage, key, fields) -> dict:
+    """Load ``path``, an output of ``stage``: a JSON object whose ``key``
+    lists objects that each have ``fields`` (name: type). Raise ConfigError
+    if the file is missing and FormatError if it holds anything else."""
+    _require(path, stage)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise _malformed(path, stage, f"{type(exc).__name__}: {exc}") from None
+    entries = doc.get(key) if isinstance(doc, dict) else None
+    if not (isinstance(entries, list) and all(
+            isinstance(e, dict) and all(_type_ok(e.get(f), tp) for f, tp in fields.items())
+            for e in entries)):
+        want = ", ".join(f"{f} ({_JSON_TYPES[tp]})" for f, tp in fields.items())
+        raise _malformed(path, stage, f"want an object whose {key!r} lists objects with {want}")
+    return doc
+
+
 # --- stage: synth -----------------------------------------------------------
 
 def stage_synth(cfg: PipelineConfig) -> list:
@@ -274,11 +301,9 @@ def _window_jobs(cfg: PipelineConfig):
         jobs.extend((wid, x[start:end], rec.fs, label) for wid, start, end, label in windows)
 
     if cfg.synth is not None or not cfg.recordings:
-        manifest_path = _path(cfg, "records", "manifest.json")
-        _require(manifest_path, "synth")
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)["records"]
-        for entry in manifest:
+        manifest = _read_list(_path(cfg, "records", "manifest.json"), "synth", "records",
+                              {"id": str, "label": str, "path": str})
+        for entry in manifest["records"]:
             rec_path = _path(cfg, "records", entry["path"])
             _require(rec_path, "synth")
             rec = dataio.load_recording(rec_path)
@@ -397,11 +422,11 @@ def stage_daf(cfg: PipelineConfig) -> FeatureTable:
     """Welch PSD + band peak for every residual; writes daf.csv and one
     spectrum dump per method for the first AF window (plot-ready data)."""
     meta_path = _path(cfg, "windows.json")
-    _require(meta_path, "extract")
-    with open(meta_path) as fh:
-        meta = json.load(fh)
-    windows = meta["windows"]
-    methods = meta["extractors"]
+    meta = _read_list(meta_path, "extract", "windows",
+                      {"window_id": str, "label": str, "fs": float})
+    windows, methods = meta["windows"], meta.get("extractors")
+    if not (isinstance(methods, list) and all(m in METHODS for m in methods)):
+        raise _malformed(meta_path, "extract", f"want 'extractors' to list some of {METHODS}")
     table = FeatureTable.empty()
     spectra_dumped = False
     spec_dir = _path(cfg, "spectra")

@@ -121,23 +121,16 @@ def compute_bsqi(
     # pair up detections globally (greedy, nearest-in-time)
     matched_a = _matched_mask(det_a, det_b, match_tol_ms / 1000.0 * fs)
 
+    # segment edges; a tail shorter than half a segment joins the one before
     seg_n = int(round(segment_s * fs))
-    n = len(x)
-    bounds = list(range(0, n, seg_n))
-    segments, mask = [], []
-    for start in bounds:
-        end = min(start + seg_n, n)
-        if end - start < seg_n / 2 and segments:
-            # fold a short tail into the previous segment
-            s0, _, _ = segments.pop()
-            mask.pop()
-            start = s0
-        na = int(np.sum((det_a >= start) & (det_a < end)))
-        nb = int(np.sum((det_b >= start) & (det_b < end)))
-        m = int(np.sum(matched_a & (det_a >= start) & (det_a < end)))
-        bsqi = _bsqi(m, na, nb)
-        segments.append((start, end, bsqi))
-        mask.append(bsqi >= threshold)
+    edges = list(range(0, len(x), seg_n)) + [len(x)]
+    if len(edges) > 2 and edges[-1] - edges[-2] < seg_n / 2:
+        del edges[-2]
+    # detections are sorted, so a segment's count is a difference of ranks
+    na, nb, m = (np.diff(np.searchsorted(d, edges)).tolist()
+                 for d in (det_a, det_b, det_a[matched_a]))
+    segments = [(s, e, _bsqi(*c)) for s, e, *c in zip(edges, edges[1:], m, na, nb)]
+    mask = [b >= threshold for _, _, b in segments]
     return QualityReport(
         segment_bsqi=segments, threshold=threshold, pass_mask=mask, r_peaks=det_a
     )

@@ -228,6 +228,41 @@ class TestStageOrder:
         _one_line_error(capsys, str(tmp_path), "not a file")
 
 
+class TestMalformedStageFiles:
+    """A stage input that is not what its stage writes exits 1 with a
+    one-line error naming the file and that stage."""
+
+    @pytest.mark.parametrize("text", [
+        '{"records": 5',
+        '{"recs": []}',
+        '[]',
+        '{"records": [{"id": "synth0000", "label": "AF"}]}',
+        '{"records": [{"id": "synth0000", "label": "AF", "path": 7}]}',
+    ], ids=["truncated", "no_list_key", "not_an_object", "entry_without_path",
+            "path_not_a_string"])
+    def test_manifest(self, tmp_path, capsys, text):
+        cfg = _config(tmp_path)
+        (tmp_path / "out" / "records").mkdir(parents=True)
+        (tmp_path / "out" / "records" / "manifest.json").write_text(text)
+        assert main(["extract", "--config", cfg]) == 1
+        _one_line_error(capsys, os.path.join("records", "manifest.json"), "fwave synth",
+                        prefix="error: ")
+
+    @pytest.mark.parametrize("meta", [
+        {"windows": [{"window_id": "synth0000", "fs": 200.0}], "extractors": ["TS_B"]},
+        {"windows": [{"window_id": "synth0000", "label": "AF", "fs": "200"}],
+         "extractors": ["TS_B"]},
+        {"windows": []},
+        {"windows": [], "extractors": ["TS_X"]},
+    ], ids=["entry_without_label", "fs_not_a_number", "no_extractors", "unknown_extractor"])
+    def test_windows_json(self, tmp_path, capsys, meta):
+        cfg = _config(tmp_path)
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "windows.json").write_text(json.dumps(meta))
+        assert main(["daf", "--config", cfg]) == 1
+        _one_line_error(capsys, "windows.json", "fwave extract", prefix="error: ")
+
+
 class TestRecordingPaths:
     """A ``recordings`` entry naming a file that does not exist exits with
     a one-line config error naming the path and the config key."""

@@ -1,4 +1,5 @@
 import os
+import types
 
 import numpy as np
 import pytest
@@ -293,26 +294,27 @@ class TestSharedProperties:
             extract("TS_X", beat_matrix(af_record_filtered, _beatmap(af_record_filtered, fs, det)))
 
 
-PRE, POST = int(round(0.3 * FS)), int(round(0.45 * FS))
-
-
 @st.composite
 def _windows(draw):
-    """A signal, an R-peak layout and a min_beats around its usable count.
+    """A sampling rate, a signal, an R-peak layout and a min_beats around
+    its usable count.
 
-    Peaks are sorted and unique; gaps run from 1 sample (neighbours much
-    closer than the span) to past the span, and the first and last
-    peaks may sit inside ``pre``/``post`` of the signal edges.
+    The rates give crossfades of 3, 4, 5 and 10 samples. Peaks are sorted
+    and unique; gaps run from 1 sample (neighbours much closer than the
+    span) to past the span, and the first and last peaks may sit inside
+    ``pre``/``post`` of the signal edges.
     """
-    gaps = draw(st.lists(st.integers(1, PRE + POST + 60), min_size=1, max_size=14))
-    r = draw(st.integers(0, PRE + 20)) + np.concatenate(([0], np.cumsum(gaps)))
-    n = int(r[-1]) + 1 + draw(st.integers(0, POST + 20))
+    fs = draw(st.sampled_from([128.0, 200.0, 250.0, 500.0]))
+    pre, post = int(round(0.3 * fs)), int(round(0.45 * fs))
+    gaps = draw(st.lists(st.integers(1, pre + post + 60), min_size=1, max_size=14))
+    r = draw(st.integers(0, pre + 20)) + np.concatenate(([0], np.cumsum(gaps)))
+    n = int(r[-1]) + 1 + draw(st.integers(0, post + 20))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["noise", "beats", "sparse", "flat"]))
     if kind == "noise":
         x = draw(st.sampled_from([1e-3, 1.0, 1e3])) * rng.normal(size=n)
     elif kind == "beats":
-        x = gauss_train(FS, n, r) + 0.05 * rng.normal(size=n)
+        x = gauss_train(fs, n, r) + 0.05 * rng.normal(size=n)
     elif kind == "sparse":
         # exact zeros away from R: flat template slices and flat segments
         x = np.zeros(n)
@@ -321,9 +323,9 @@ def _windows(draw):
             x[lo:hi] += np.hamming(11)[lo - (rp - 5) : hi - (rp - 5)]
     else:
         x = np.zeros(n)
-    usable = int(np.sum((r - PRE >= 0) & (r + POST + 1 <= n)))
+    usable = int(np.sum((r - pre >= 0) & (r + post + 1 <= n)))
     min_beats = max(1, usable + draw(st.integers(-1, 1)))
-    return x, r, min_beats
+    return fs, x, r, min_beats
 
 
 def _outcome(fn):
@@ -340,8 +342,8 @@ class TestMatchesReference:
     @given(_windows())
     @settings(max_examples=300, deadline=None)
     def test_same_outputs_and_errors(self, case):
-        x, r, min_beats = case
-        beats = _beatmap(x, FS, r)
+        fs, x, r, min_beats = case
+        beats = _beatmap(x, fs, r)
         for method in METHODS:
             want = _outcome(lambda: REFERENCE[method](x, beats, min_beats=min_beats))
             got = _outcome(lambda: extract(method, beat_matrix(x, beats, min_beats)))
@@ -374,3 +376,11 @@ class TestOneBeatMatrixPerWindow:
             f"w0__{m}.fwk" for m in METHODS
         )
         assert len(calls) == 1
+
+
+def test_import_binds_the_module():
+    # a package attribute named `extract` would shadow the submodule here
+    import fwave.extract as m
+
+    assert isinstance(m, types.ModuleType)
+    assert m.extract is extract

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import fwave.preprocess
+from fwave.beats import MatchedResult
 from fwave.errors import ConfigError, SignalTooShortError
 from fwave.preprocess import (
     FilterSpec,
@@ -165,3 +169,66 @@ class TestComputeBsqi:
     def test_segment_too_short_raises(self, sinus_clean_filtered, sinus_clean):
         with pytest.raises(ConfigError):
             compute_bsqi(sinus_clean_filtered, sinus_clean.fs, segment_s=2)
+
+
+def _segment_loop(det_a, det_b, matched_a, n, seg_n, threshold):
+    """The per-segment counting loop ``compute_bsqi`` ran before it counted
+    by rank: the oracle for the property below."""
+    bounds = list(range(0, n, seg_n))
+    segments, mask = [], []
+    for start in bounds:
+        end = min(start + seg_n, n)
+        if end - start < seg_n / 2 and segments:
+            # fold a short tail into the previous segment
+            s0, _, _ = segments.pop()
+            mask.pop()
+            start = s0
+        na = int(np.sum((det_a >= start) & (det_a < end)))
+        nb = int(np.sum((det_b >= start) & (det_b < end)))
+        m = int(np.sum(matched_a & (det_a >= start) & (det_a < end)))
+        denom = na + nb - m
+        bsqi = m / denom if denom > 0 else 0.0
+        segments.append((start, end, bsqi))
+        mask.append(bsqi >= threshold)
+    return segments, mask
+
+
+@st.composite
+def _detections(draw):
+    """A segment length, a signal length with every kind of tail (none,
+    exactly half a segment, shorter or longer than half, or a signal
+    shorter than one segment), and sorted detections, possibly none."""
+    seg_n = draw(st.integers(5, 24))
+    tail = draw(st.one_of(st.just(seg_n // 2), st.integers(0, seg_n - 1)))
+    n = draw(st.integers(0, 4)) * seg_n + tail
+    sorted_set = st.sets(st.integers(0, max(n - 1, 0)), max_size=n).map(sorted)
+    det_a = np.array(draw(sorted_set), dtype=np.int64)
+    det_b = np.array(draw(sorted_set), dtype=np.int64)
+    matched_a = np.array(draw(st.lists(st.booleans(), min_size=len(det_a),
+                                       max_size=len(det_a))), dtype=bool)
+    threshold = draw(st.sampled_from([0.0, 0.5, 0.8, 1.0]))
+    return det_a, det_b, matched_a, n, seg_n, threshold
+
+
+class TestBsqiCounts:
+    """Per-segment counts by rank give what the loop over segments gave."""
+
+    @given(_detections())
+    @example((np.array([1, 7, 12]), np.array([1, 12]), np.array([True, False, True]),
+              25, 10, 0.8))  # a tail of exactly half a segment stays a segment
+    @example((np.array([], dtype=np.int64), np.array([], dtype=np.int64),
+              np.array([], dtype=bool), 7, 10, 0.8))  # shorter than one segment
+    @settings(max_examples=300, deadline=None)
+    def test_same_segments_as_the_loop(self, case):
+        det_a, det_b, matched_a, n, seg_n, threshold = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fwave.preprocess, "detect_r_peaks_energy", lambda x, fs: det_a)
+            mp.setattr(fwave.preprocess, "detect_r_peaks_matched",
+                       lambda x, fs, first: MatchedResult(det_b, False))
+            mp.setattr(fwave.preprocess, "_matched_mask", lambda a, b, tol: matched_a)
+            report = compute_bsqi(np.zeros(n), 1.0, segment_s=float(seg_n),
+                                  threshold=threshold)
+        segments, mask = _segment_loop(det_a, det_b, matched_a, n, seg_n, threshold)
+        assert report.segment_bsqi == segments
+        assert report.pass_mask == mask
+        assert report.r_peaks is det_a
