@@ -21,6 +21,13 @@ INTEG_WINDOW_S = 0.150
 KERNEL_HALF_S = 0.060
 SEARCHBACK_S = 1.2  # gap without a beat that triggers half-threshold searchback
 
+# beat layout around R: the template span (also the p_on and longest t_off
+# fiducials) and the QRS complex
+SPAN_PRE_S = 0.300
+SPAN_POST_S = 0.450
+QRS_ON_S = 0.050
+QRS_OFF_S = 0.100
+
 
 @dataclass
 class BeatMap:
@@ -204,9 +211,9 @@ def match_detections(det_a, det_b, fs: float, tol_ms: float = 150.0) -> int:
 def segment_fiducials(x, fs: float, r_peaks) -> BeatMap:
     """Fixed-offset fiducials per beat, clipped to bounds and neighbors.
 
-    p_on = R - 300 ms, qrs_on = R - 50 ms, qrs_off = R + 100 ms,
-    t_off = R + min(450 ms, 0.7 * RR_next). The last beat uses the median
-    RR for the t_off rule.
+    p_on = R - SPAN_PRE_S, qrs_on = R - QRS_ON_S, qrs_off = R + QRS_OFF_S,
+    t_off = R + min(SPAN_POST_S, 0.7 * RR_next). The last beat uses the
+    median RR for the t_off rule.
     """
     x = np.asarray(x, dtype=np.float64)
     r_peaks = np.asarray(r_peaks, dtype=np.int64)
@@ -215,13 +222,13 @@ def segment_fiducials(x, fs: float, r_peaks) -> BeatMap:
     n = len(x)
     rr = np.diff(r_peaks) / fs
     med_rr = float(np.median(rr))
-    p_off = int(round(0.300 * fs))
-    qon_off = int(round(0.050 * fs))
-    qoff_off = int(round(0.100 * fs))
+    p_off = int(round(SPAN_PRE_S * fs))
+    qon_off = int(round(QRS_ON_S * fs))
+    qoff_off = int(round(QRS_OFF_S * fs))
     fid = np.zeros((len(r_peaks), 4), dtype=np.int64)
     for i, r in enumerate(r_peaks):
         rr_next = rr[i] if i < len(rr) else med_rr
-        t_len = int(round(min(0.450, 0.7 * rr_next) * fs))
+        t_len = int(round(min(SPAN_POST_S, 0.7 * rr_next) * fs))
         p_on = max(0, r - p_off)
         qrs_on = max(p_on, r - qon_off)
         qrs_off = min(n - 1, r + qoff_off)

@@ -15,7 +15,7 @@ Formats:
 import json
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,24 +62,6 @@ class RhythmAnnotation:
             if onset < prev_off:
                 raise FormatError("events overlap or are unsorted")
             prev_off = offset
-
-
-@dataclass
-class AnalysisWindow:
-    record_id: str
-    start_sample: int
-    length_samples: int
-    label: str
-
-    @property
-    def end_sample(self) -> int:
-        return self.start_sample + self.length_samples
-
-
-@dataclass
-class AfWindowResult:
-    windows: list
-    excluded_events: list = field(default_factory=list)  # (onset, offset) pairs
 
 
 def load_recording(path, fmt=None) -> EcgRecording:
@@ -236,12 +218,13 @@ def extract_af_windows(
     ann: RhythmAnnotation,
     min_event_s: float = 30.0,
     window_s: float = 60.0,
-) -> AfWindowResult:
+):
     """One window per AF event long enough to hold it, anchored at onset.
 
     AF events shorter than ``window_s`` but at least ``min_event_s`` long
     are counted as excluded; shorter stretches are not AF episodes and
-    are ignored.
+    are ignored. Returns (windows, excluded): windows as (start, end)
+    sample spans, excluded events as (onset, offset) pairs.
     """
     ann.validate(len(rec.samples))
     win_n = int(round(window_s * rec.fs))
@@ -251,17 +234,10 @@ def extract_af_windows(
             continue
         dur = (offset - onset) / rec.fs
         if dur >= window_s:
-            windows.append(
-                AnalysisWindow(
-                    record_id=rec.record_id,
-                    start_sample=onset,
-                    length_samples=win_n,
-                    label="AF",
-                )
-            )
+            windows.append((onset, onset + win_n))
         elif dur >= min_event_s:
             excluded.append((onset, offset))
-    return AfWindowResult(windows=windows, excluded_events=excluded)
+    return windows, excluded
 
 
 def sample_nonaf_windows(
@@ -275,8 +251,9 @@ def sample_nonaf_windows(
 
     Each non-AF region is tiled into window-sized slots and slots are
     drawn uniformly without replacement, so windows never overlap and
-    the draw is reproducible. Returns (windows, shortfall) where
-    shortfall counts how many requested windows could not be placed.
+    the draw is reproducible. Returns (windows, shortfall): windows as
+    (start, end) sample spans in start order, and the number of requested
+    windows that could not be placed.
     """
     ann.validate(len(rec.samples))
     win_n = int(round(window_s * rec.fs))
@@ -285,17 +262,8 @@ def sample_nonaf_windows(
         if label != "non-AF":
             continue
         k = (offset - onset) // win_n
-        slots.extend(onset + i * win_n for i in range(k))
+        slots.extend(int(onset) + i * win_n for i in range(k))
     rng = np.random.default_rng(rng_seed)
     take = min(count, len(slots))
     chosen = sorted(rng.choice(len(slots), size=take, replace=False)) if take else []
-    windows = [
-        AnalysisWindow(
-            record_id=rec.record_id,
-            start_sample=int(slots[i]),
-            length_samples=win_n,
-            label="non-AF",
-        )
-        for i in chosen
-    ]
-    return windows, count - take
+    return [(slots[i], slots[i] + win_n) for i in chosen], count - take

@@ -12,10 +12,11 @@ cancellation left behind:
              directions of the beat matrix; the residual keeps what the
              low-rank ventricular subspace cannot represent.
 
-One ``BeatMatrix`` per window (``beat_matrix``) holds what the four
-share: the beats whose full template span fits inside the signal, their
-R-aligned (beats x span) stack, its mean template and each beat's span,
-clipped at the following beat's span start so spans never overlap.
+One ``BeatMatrix`` per window (``beat_matrix``, from the window's R
+peaks) holds what the four share: the beats whose full template span
+fits inside the signal, their R-aligned (beats x span) stack, its mean
+template and each beat's span, clipped at the following beat's span
+start so spans never overlap.
 Every extractor builds from that matrix its model of each beat, a
 (beats x span) matrix: the template, the template times a gain per beat
 or per sample, or a low-rank reconstruction. One gather/scatter then
@@ -28,13 +29,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beats import BeatMap
+from .beats import QRS_OFF_S, QRS_ON_S, SPAN_POST_S, SPAN_PRE_S
 from .errors import ExtractionError
 
 METHODS = ("TS_B", "TS_CE", "TS_SU", "TS_PCA")
 
-SPAN_PRE_S = 0.300  # template span start, before R
-SPAN_POST_S = 0.450  # template span end, after R
 GAIN_CLAMP = (0.0, 3.0)
 CROSSFADE_S = 0.020
 DEFAULT_MIN_BEATS = 8
@@ -43,8 +42,8 @@ DEFAULT_MIN_BEATS = 8
 @dataclass
 class BeatMatrix:
     x: np.ndarray  # the window, float64
-    beats: BeatMap
-    kept: np.ndarray  # positions in beats.r_peaks of the full-span beats
+    fs: float
+    r_peaks: np.ndarray  # R peaks of the kept (full-span) beats
     stack: np.ndarray  # (kept beats x span) R-aligned beat windows
     template: np.ndarray  # stack mean: one R-aligned cardiac cycle
     starts: np.ndarray  # per kept beat: span start, R - pre
@@ -63,16 +62,17 @@ class FWaveSignal:
     flags: list = field(default_factory=list)
 
 
-def beat_matrix(x, beats: BeatMap, min_beats: int = DEFAULT_MIN_BEATS) -> BeatMatrix:
+def beat_matrix(x, fs: float, r_peaks, min_beats: int = DEFAULT_MIN_BEATS) -> BeatMatrix:
     """Stack the R-aligned windows of every full-span beat and average them.
 
-    Beats whose window would exceed the signal bounds are left out and
-    do not count toward min_beats. A non-finite stack entry (or an
-    overflowing mean) makes the template non-finite and raises.
+    ``r_peaks`` are sorted sample indices. Beats whose window would exceed
+    the signal bounds are left out and do not count toward min_beats. A
+    non-finite stack entry (or an overflowing mean) makes the template
+    non-finite and raises.
     """
     x = np.asarray(x, dtype=np.float64)
-    pre, post = int(round(SPAN_PRE_S * beats.fs)), int(round(SPAN_POST_S * beats.fs))
-    r = np.asarray(beats.r_peaks, dtype=np.int64)
+    pre, post = int(round(SPAN_PRE_S * fs)), int(round(SPAN_POST_S * fs))
+    r = np.asarray(r_peaks, dtype=np.int64)
     kept = np.flatnonzero((r - pre >= 0) & (r + post + 1 <= len(x)))
     if len(kept) < min_beats:
         raise ExtractionError(f"only {len(kept)} usable beats, need at least {min_beats}")
@@ -88,7 +88,7 @@ def beat_matrix(x, beats: BeatMap, min_beats: int = DEFAULT_MIN_BEATS) -> BeatMa
     lengths = ends - starts
     row = np.repeat(np.arange(len(kept)), lengths)
     col = np.arange(len(row)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    return BeatMatrix(x, beats, kept, stack, template, starts, ends, row, col)
+    return BeatMatrix(x, fs, r[kept], stack, template, starts, ends, row, col)
 
 
 def _subtract(bm: BeatMatrix, method, model, gains=None, flags=()):
@@ -100,7 +100,7 @@ def _subtract(bm: BeatMatrix, method, model, gains=None, flags=()):
     return FWaveSignal(
         residual=residual,
         method=method,
-        beats_used=len(bm.kept),
+        beats_used=len(bm.r_peaks),
         per_beat_gains=np.empty((0,)) if gains is None else gains,
         spans=list(zip(bm.starts.tolist(), bm.ends.tolist())),
         flags=list(flags),
@@ -137,25 +137,25 @@ def ts_scaled(bm: BeatMatrix) -> FWaveSignal:
     if float(np.dot(bm.template, bm.template)) == 0.0:
         raise ExtractionError("flat template: cannot fit a gain")
     g, flat = _ls_gains(bm, np.stack([bm.starts, bm.ends], axis=1))
-    r = bm.beats.r_peaks[bm.kept]
-    flags = [f"flat template slice at beat {rp}" for rp in r[flat[:, 0]].tolist()]
+    flags = [f"flat template slice at beat {r}" for r in bm.r_peaks[flat[:, 0]].tolist()]
     return _subtract(bm, "TS_CE", g * bm.template, g[:, 0], flags)
 
 
 def ts_segment_scaled(bm: BeatMatrix) -> FWaveSignal:
     """Independent P / QRS / T least-squares gains with a 20 ms crossfade.
 
-    The T-segment gain extends from qrs_off through the end of the span;
-    a degenerate (flat) template sub-window gets gain 0 and a flag.
+    The QRS runs from R - QRS_ON_S to R + QRS_OFF_S, and the T-segment
+    gain extends from there through the end of the span; a degenerate
+    (flat) template sub-window gets gain 0 and a flag.
     """
-    fade = int(round(CROSSFADE_S * bm.beats.fs))
-    a, b = bm.starts, bm.ends
-    fid = bm.beats.fiducials[bm.kept]
+    fs, a, b = bm.fs, bm.starts, bm.ends
+    fade = int(round(CROSSFADE_S * fs))
     # segment boundaries inside [a, b)
-    b1, b2 = np.clip(fid[:, 1], a, b), np.clip(fid[:, 2], a, b)
+    b1 = np.clip(bm.r_peaks - int(round(QRS_ON_S * fs)), a, b)
+    b2 = np.clip(bm.r_peaks + int(round(QRS_OFF_S * fs)), a, b)
     cuts = np.stack([a, b1, b2, b], axis=1)
     g, flat = _ls_gains(bm, cuts)
-    r = bm.beats.r_peaks[bm.kept].tolist()
+    r = bm.r_peaks.tolist()
     # an empty segment gets gain 0 without a flag
     flags = [f"degenerate {('P', 'QRS', 'T')[k]} segment at beat {r[j]}"
              for j, k in zip(*np.nonzero(flat & (np.diff(cuts, axis=1) > 0)))]

@@ -52,6 +52,7 @@ from .errors import (
     VotingError,
 )
 from .evaluate import (
+    LABELS,
     FeatureTable,
     evaluate_model,
     rank_methods,
@@ -232,10 +233,21 @@ def _malformed(path, stage, why) -> FormatError:
                        "run that again")
 
 
+def _entry_ok(entry, fields) -> bool:
+    """``entry`` is an object with ``fields`` (name: type); a number is
+    positive and finite."""
+    return isinstance(entry, dict) and all(
+        _type_ok(entry.get(f), tp) and (tp is not float or 0 < entry[f] < math.inf)
+        for f, tp in fields.items()
+    )
+
+
 def _read_list(path, stage, key, fields) -> dict:
     """Load ``path``, an output of ``stage``: a JSON object whose ``key``
-    lists objects that each have ``fields`` (name: type). Raise ConfigError
-    if the file is missing and FormatError if it holds anything else."""
+    lists objects that each have ``fields`` (name: type; a number must be
+    positive and finite). The first field is an id: unique, and usable in
+    a file name. Every ``label`` is one of LABELS. Raise ConfigError if
+    the file is missing and FormatError if it holds anything else."""
     _require(path, stage)
     try:
         with open(path, encoding="utf-8") as fh:
@@ -243,11 +255,21 @@ def _read_list(path, stage, key, fields) -> dict:
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise _malformed(path, stage, f"{type(exc).__name__}: {exc}") from None
     entries = doc.get(key) if isinstance(doc, dict) else None
-    if not (isinstance(entries, list) and all(
-            isinstance(e, dict) and all(_type_ok(e.get(f), tp) for f, tp in fields.items())
-            for e in entries)):
-        want = ", ".join(f"{f} ({_JSON_TYPES[tp]})" for f, tp in fields.items())
+    if not (isinstance(entries, list) and all(_entry_ok(e, fields) for e in entries)):
+        kinds = {**_JSON_TYPES, float: "positive number"}
+        want = ", ".join(f"{f} ({kinds[tp]})" for f, tp in fields.items())
         raise _malformed(path, stage, f"want an object whose {key!r} lists objects with {want}")
+    id_key, seen = next(iter(fields)), set()
+    for e in entries:
+        eid = e[id_key]
+        if e["label"] not in LABELS:
+            raise _malformed(path, stage, f"{id_key} {eid!r} has label {e['label']!r}, "
+                                          f"not {' or '.join(LABELS)}")
+        if eid in seen:
+            raise _malformed(path, stage, f"{id_key} {eid!r} occurs twice")
+        if {"/", os.sep, "\0"} & set(eid):
+            raise _malformed(path, stage, f"{id_key} {eid!r} cannot name a file")
+        seen.add(eid)
     return doc
 
 
@@ -301,11 +323,14 @@ def _window_jobs(cfg: PipelineConfig):
         jobs.extend((wid, x[start:end], rec.fs, label) for wid, start, end, label in windows)
 
     if cfg.synth is not None or not cfg.recordings:
-        manifest = _read_list(_path(cfg, "records", "manifest.json"), "synth", "records",
+        manifest_path = _path(cfg, "records", "manifest.json")
+        manifest = _read_list(manifest_path, "synth", "records",
                               {"id": str, "label": str, "path": str})
         for entry in manifest["records"]:
-            rec_path = _path(cfg, "records", entry["path"])
-            _require(rec_path, "synth")
+            name = entry["path"]
+            rec_path = _path(cfg, "records", name)
+            if os.path.basename(name) != name or not os.path.isfile(rec_path):
+                raise _malformed(manifest_path, "synth", f"path {name!r} names no file in records/")
             rec = dataio.load_recording(rec_path)
             add(rec, [(entry["id"], 0, len(rec.samples), entry["label"])])
     for i, item in enumerate(cfg.recordings):
@@ -315,8 +340,8 @@ def _window_jobs(cfg: PipelineConfig):
                 raise ConfigError(f"missing {path}: named by config key recordings[{i}].{key}")
         rec = dataio.load_recording(item["recording"])
         ann = dataio.load_annotations(item["annotation"])
-        result = dataio.extract_af_windows(rec, ann, cfg.min_event_s, cfg.window_s)
-        for onset, offset in result.excluded_events:
+        af, short = dataio.extract_af_windows(rec, ann, cfg.min_event_s, cfg.window_s)
+        for onset, offset in short:
             event_exclusions.append(
                 {
                     "record_id": rec.record_id,
@@ -329,7 +354,7 @@ def _window_jobs(cfg: PipelineConfig):
         # and the draws do not depend on the order of recordings
         seed = np.random.SeedSequence([cfg.seed, zlib.crc32(rec.record_id.encode())])
         nonaf, shortfall = dataio.sample_nonaf_windows(
-            rec, ann, count=len(result.windows), rng_seed=seed, window_s=cfg.window_s
+            rec, ann, count=len(af), rng_seed=seed, window_s=cfg.window_s
         )
         if shortfall:
             event_exclusions.append(
@@ -339,8 +364,8 @@ def _window_jobs(cfg: PipelineConfig):
                     "missing_windows": shortfall,
                 }
             )
-        add(rec, [(f"{rec.record_id}_w{win.start_sample:09d}", win.start_sample,
-                   win.end_sample, win.label) for win in result.windows + nonaf])
+        add(rec, [(f"{rec.record_id}_w{start:09d}", start, end, label)
+                  for spans, label in ((af, "AF"), (nonaf, "non-AF")) for start, end in spans])
     seen = set()
     for wid, *_ in jobs:
         if wid in seen:
@@ -361,7 +386,8 @@ def _process_window(args):
 
     The R peaks are the energy detections the bSQI gate computed; the
     detector runs once per window, and so does ``beat_matrix``, whose
-    stack, template and spans every extractor shares.
+    stack, template and spans every extractor shares. The fiducial table
+    (``segment_fiducials``) is built only for the beat map dump.
 
     Returns the window's ledger row, ``{"window_id", "label", "fs"}``,
     or ``{"window_id", "excluded"}`` with the reason.
@@ -377,8 +403,7 @@ def _process_window(args):
             return {"window_id": wid, "excluded": f"bsqi_below_threshold (min {worst:.3f})"}
         if len(report.r_peaks) < 2:
             return {"window_id": wid, "excluded": "too_few_beats"}
-        beats = segment_fiducials(x, fs, report.r_peaks)
-        bm = beat_matrix(x, beats, cfg.min_beats)
+        bm = beat_matrix(x, fs, report.r_peaks, cfg.min_beats)
         residuals = {method: run_extractor(method, bm).residual for method in cfg.extractors}
     except (ExtractionError, SignalTooShortError) as exc:  # what a window's data can cause
         return {"window_id": wid, "excluded": f"{type(exc).__name__}: {exc}"}
@@ -387,7 +412,7 @@ def _process_window(args):
         dataio.write_recording(rec, _path(cfg, "residuals", f"{wid}__{method}.fwk"), fmt="binary")
     if cfg.dump_beats:
         with open(_path(cfg, "beats", f"{wid}.json"), "w") as fh:
-            json.dump(beats.to_json_dict(), fh)
+            json.dump(segment_fiducials(x, fs, report.r_peaks).to_json_dict(), fh)
     return {"window_id": wid, "label": label, "fs": fs}
 
 
@@ -425,8 +450,10 @@ def stage_daf(cfg: PipelineConfig) -> FeatureTable:
     meta = _read_list(meta_path, "extract", "windows",
                       {"window_id": str, "label": str, "fs": float})
     windows, methods = meta["windows"], meta.get("extractors")
-    if not (isinstance(methods, list) and all(m in METHODS for m in methods)):
-        raise _malformed(meta_path, "extract", f"want 'extractors' to list some of {METHODS}")
+    if not (isinstance(methods, list) and all(m in METHODS for m in methods)
+            and len(set(methods)) == len(methods)):
+        raise _malformed(meta_path, "extract",
+                         f"want 'extractors' to list some of {METHODS}, each once")
     table = FeatureTable.empty()
     spectra_dumped = False
     spec_dir = _path(cfg, "spectra")

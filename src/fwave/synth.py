@@ -62,7 +62,6 @@ class SynthConfig:
     fwave_amp_mv: float = 0.1
     fwave_harmonics: int = 3
     noise_rms_mv: float = 0.02
-    fwave_fm_hz: float = 0.0  # spectral line width of the fundamental (FWHM)
     beat_amp_cv: float = 0.3  # per-beat ventricular amplitude variability
     artifact_rms_mv: float = 0.0  # low-frequency motion/muscle artifact
     rng_seed: int = 0
@@ -128,25 +127,16 @@ def _place_bumps(t_grid, beat_times, bumps, beat_scales=None):
 
 
 def _fwave(cfg: SynthConfig, t_grid, rng) -> np.ndarray:
-    """Sawtooth-like f-wave: harmonics of a slowly drifting fundamental.
+    """Sawtooth-like f-wave: harmonics of a fixed fundamental f0.
 
     Fibrillatory waves are quasi-periodic, not stationary sinusoids: the
-    fundamental carries phase diffusion giving a finite spectral line
-    width (fwave_fm_hz, Lorentzian FWHM) and the amplitude breathes
-    +/-20% at 0.1 Hz. The line stays centered on f0, but beat windows
-    decorrelate instead of forming an exactly rank-2 family.
+    amplitude breathes +/-20% at 0.1 Hz, so the line stays centered on
+    f0 but beat windows decorrelate instead of forming an exactly rank-2
+    family.
     """
-    f0 = cfg.fwave_f0
     phases = rng.uniform(0, 2 * np.pi, size=cfg.fwave_harmonics + 1)
     envelope = 1.0 + 0.2 * np.sin(2 * np.pi * 0.1 * t_grid + phases[0])
-    if cfg.fwave_fm_hz > 0:
-        # phase diffusion (Wiener phase) gives a Lorentzian line of FWHM
-        # fwave_fm_hz centered exactly on f0
-        step = np.sqrt(2 * np.pi * cfg.fwave_fm_hz / cfg.fs)
-        walk = np.cumsum(rng.standard_normal(len(t_grid))) * step
-    else:
-        walk = np.zeros_like(t_grid)
-    phase = 2 * np.pi * f0 * t_grid + walk
+    phase = 2 * np.pi * cfg.fwave_f0 * t_grid
     wave = np.zeros_like(t_grid)
     for k in range(1, cfg.fwave_harmonics + 1):
         wave += (cfg.fwave_amp_mv / k) * np.sin(k * phase + phases[k])

@@ -8,14 +8,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fwave.beats import BeatMap
+from fwave.beats import SPAN_POST_S, SPAN_PRE_S, BeatMap
 from fwave.errors import ExtractionError
 from fwave.extract import (
     CROSSFADE_S,
     DEFAULT_MIN_BEATS,
     GAIN_CLAMP,
-    SPAN_POST_S,
-    SPAN_PRE_S,
     FWaveSignal,
 )
 

@@ -74,7 +74,7 @@ def test_criterion_1_daf_recovery():
         n_used += 1
         beats = _beats_of(x, truth.fs)
         for m in METHODS:
-            res = extract(m, beat_matrix(x, beats))
+            res = extract(m, beat_matrix(x, beats.fs, beats.r_peaks))
             daf = estimate_daf(welch_psd(res.residual, truth.fs, method=m)).daf_hz
             if abs(daf - f0) <= 0.2:
                 hits[m] += 1
@@ -110,7 +110,7 @@ def test_criterion_2_cancellation_floor():
         x = prefilter(truth.ecg, truth.fs)
         beats = _beats_of(x, truth.fs)
         for m in METHODS:
-            worst = max(worst, span_ratio(x, extract(m, beat_matrix(x, beats))))
+            worst = max(worst, span_ratio(x, extract(m, beat_matrix(x, beats.fs, beats.r_peaks))))
 
     periodic = generate(SynthConfig(
         rhythm="sinus", rng_seed=7, mean_hr_bpm=72.0, rr_jitter=0.0,
@@ -118,7 +118,7 @@ def test_criterion_2_cancellation_floor():
     ))
     x = prefilter(periodic.ecg, periodic.fs)
     beats = _beats_of(x, periodic.fs)
-    basic = span_ratio(x, extract("TS_B", beat_matrix(x, beats)))
+    basic = span_ratio(x, extract("TS_B", beat_matrix(x, beats.fs, beats.r_peaks)))
 
     ok = worst <= 0.05 and basic <= 0.01
     _verdict(2, ok, f"worst ratio {worst:.4f} (<=0.05), "
@@ -137,8 +137,8 @@ def test_criterion_3_least_squares_dominance():
             truth = generate(SynthConfig(rhythm="sinus", rng_seed=500 + i))
         x = prefilter(truth.ecg, truth.fs)
         beats = _beats_of(x, truth.fs)
-        basic = extract("TS_B", beat_matrix(x, beats))
-        scaled = extract("TS_CE", beat_matrix(x, beats))
+        basic = extract("TS_B", beat_matrix(x, beats.fs, beats.r_peaks))
+        scaled = extract("TS_CE", beat_matrix(x, beats.fs, beats.r_peaks))
         assert basic.spans == scaled.spans
         for a, b in basic.spans:
             e_b = float(np.sum(basic.residual[a:b] ** 2))

@@ -1,5 +1,7 @@
 import builtins
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -8,7 +10,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fwave.pipeline
 from fwave.cli import main
 from fwave.dataio import EcgRecording, load_recording, write_recording
 from fwave.errors import ConfigError
@@ -169,6 +174,16 @@ class TestStagedComposition:
             assert len(beats["fiducials"]) == len(beats["r_peaks"]), wid
 
 
+class TestFiducials:
+    def test_built_only_for_dump_beats(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("segment_fiducials called without --dump-beats")
+
+        monkeypatch.setattr(fwave.pipeline, "segment_fiducials", refuse)
+        cfg = _config(tmp_path, synth={"n_af": 6, "n_sinus": 6})
+        assert main(["run", "--config", cfg]) == 0
+
+
 class TestWorkers:
     def test_two_workers_match_one(self, tmp_path):
         cfg_a = _config(tmp_path / "a", seed=31)
@@ -238,12 +253,25 @@ class TestMalformedStageFiles:
         '[]',
         '{"records": [{"id": "synth0000", "label": "AF"}]}',
         '{"records": [{"id": "synth0000", "label": "AF", "path": 7}]}',
+        '{"records": [{"id": "synth0000", "label": "AF", "path": ""}]}',
+        '{"records": [{"id": "synth0000", "label": "AF", "path": "../outside.fwk"}]}',
+        '{"records": [{"id": "synth0000", "label": "AF", "path": "missing.fwk"}]}',
+        '{"records": [{"id": "synth0000", "label": "XX", "path": "r.fwk"}]}',
+        '{"records": [{"id": "synth0000", "label": "AF", "path": "r.fwk"},'
+        ' {"id": "synth0000", "label": "non-AF", "path": "r.fwk"}]}',
+        '{"records": [{"id": "a/b", "label": "AF", "path": "r.fwk"}]}',
     ], ids=["truncated", "no_list_key", "not_an_object", "entry_without_path",
-            "path_not_a_string"])
+            "path_not_a_string", "empty_path", "path_outside_records", "missing_record",
+            "unknown_label", "repeated_id", "id_with_a_slash"])
     def test_manifest(self, tmp_path, capsys, text):
         cfg = _config(tmp_path)
-        (tmp_path / "out" / "records").mkdir(parents=True)
-        (tmp_path / "out" / "records" / "manifest.json").write_text(text)
+        rec_dir = tmp_path / "out" / "records"
+        rec_dir.mkdir(parents=True)
+        # a readable record inside records/ and one just outside it
+        rec = EcgRecording(samples=np.zeros(100) + 0.1, fs=200.0)
+        for path in (rec_dir / "r.fwk", rec_dir.parent / "outside.fwk"):
+            write_recording(rec, path, fmt="binary")
+        (rec_dir / "manifest.json").write_text(text)
         assert main(["extract", "--config", cfg]) == 1
         _one_line_error(capsys, os.path.join("records", "manifest.json"), "fwave synth",
                         prefix="error: ")
@@ -254,13 +282,66 @@ class TestMalformedStageFiles:
          "extractors": ["TS_B"]},
         {"windows": []},
         {"windows": [], "extractors": ["TS_X"]},
-    ], ids=["entry_without_label", "fs_not_a_number", "no_extractors", "unknown_extractor"])
+        {"windows": [], "extractors": ["TS_B", "TS_B"]},
+        {"windows": [{"window_id": "synth0000", "label": "AF", "fs": 0}],
+         "extractors": ["TS_B"]},
+        {"windows": [{"window_id": "synth0000", "label": "XX", "fs": 200.0}],
+         "extractors": ["TS_B"]},
+        {"windows": [{"window_id": "synth0000", "label": "AF", "fs": 200.0}] * 2,
+         "extractors": ["TS_B"]},
+    ], ids=["entry_without_label", "fs_not_a_number", "no_extractors", "unknown_extractor",
+            "repeated_extractor", "fs_not_positive", "unknown_label", "repeated_window"])
     def test_windows_json(self, tmp_path, capsys, meta):
         cfg = _config(tmp_path)
         (tmp_path / "out").mkdir()
         (tmp_path / "out" / "windows.json").write_text(json.dumps(meta))
         assert main(["daf", "--config", cfg]) == 1
         _one_line_error(capsys, "windows.json", "fwave extract", prefix="error: ")
+
+
+class TestStageFileFuzz:
+    """``fwave extract`` on a truncated or mutated ``records/manifest.json``,
+    and ``fwave daf`` on a truncated or mutated ``windows.json``, end with
+    an exit code of 0 to 3, whatever the bytes."""
+
+    @pytest.fixture(scope="class")
+    def stages(self, tmp_path_factory):
+        out = {}
+        for stage in ("extract", "daf"):
+            tmp = tmp_path_factory.mktemp(stage)
+            cfg = _config(tmp, synth={"n_af": 2, "n_sinus": 2, "duration_s": 12})
+            assert main(["synth", "--config", cfg]) == 0
+            path = tmp / "out" / "records" / "manifest.json"
+            if stage == "daf":
+                assert main(["extract", "--config", cfg]) == 0
+                path = tmp / "out" / "windows.json"
+            out[stage] = (cfg, path, path.read_bytes())
+        return out
+
+    @staticmethod
+    def _check(stages, stage, mutate):
+        cfg, path, valid = stages[stage]
+        path.write_bytes(mutate(valid))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main([stage, "--config", cfg]) in (0, 1, 2, 3)
+
+    @given(stage=st.sampled_from(["extract", "daf"]), cut=st.floats(0.0, 1.0))
+    @settings(max_examples=100, deadline=None)
+    def test_truncated(self, stages, stage, cut):
+        self._check(stages, stage, lambda data: data[: int(cut * len(data))])
+
+    @given(stage=st.sampled_from(["extract", "daf"]),
+           flips=st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(1, 255)),
+                          min_size=1, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_byte_flipped(self, stages, stage, flips):
+        def mutate(valid):
+            data = bytearray(valid)
+            for where, mask in flips:
+                data[min(int(where * len(data)), len(data) - 1)] ^= mask
+            return bytes(data)
+
+        self._check(stages, stage, mutate)
 
 
 class TestRecordingPaths:

@@ -29,10 +29,6 @@ FS = 200.0
 QRST = ((-0.1, -0.04, 0.012), (1.0, 0.0, 0.016), (-0.5, 0.055, 0.02), (0.4, 0.22, 0.07))
 
 
-def _beatmap(x, fs, r_peaks):
-    return segment_fiducials(x, fs, np.asarray(r_peaks, dtype=np.int64))
-
-
 def _train(n_beats=20, rr=250, scales=None, bumps=QRST, n_extra=400):
     """Bump-train signal with exactly known beats, plus its r_peaks."""
     r = np.arange(n_beats) * rr + 200
@@ -50,8 +46,7 @@ def _span_rms(sig, spans):
 class TestBuildTemplate:
     def test_identical_beats_template_equals_beat(self):
         x, r = _train()
-        bm = _beatmap(x, FS, r)
-        model = beat_matrix(x, bm)
+        model = beat_matrix(x, FS, r)
         pre = int(0.3 * FS)
         post = int(0.45 * FS)
         beat = x[r[5] - pre : r[5] + post + 1]
@@ -64,29 +59,28 @@ class TestBuildTemplate:
         errs = []
         for trial in range(10):
             x, r = _train(n_beats=66, rr=200)
-            clean_bm = _beatmap(x, FS, r)
-            clean = beat_matrix(x, clean_bm).template
+            clean = beat_matrix(x, FS, r).template
             noisy = x + rng.normal(0, 0.1, size=len(x))
-            model = beat_matrix(noisy, _beatmap(noisy, FS, r))
+            model = beat_matrix(noisy, FS, r)
             errs.append(np.sqrt(np.mean((model.template - clean) ** 2)))
         assert np.mean(errs) < 2.0 * 0.1 / np.sqrt(64)
 
     def test_edge_beats_not_counted(self):
         x, r = _train(n_beats=10)
         r_with_edge = np.concatenate(([5], r))  # no room for the pre-span
-        model = beat_matrix(x, _beatmap(x, FS, r_with_edge))
-        assert len(model.kept) == 10
+        model = beat_matrix(x, FS, r_with_edge)
+        assert np.array_equal(model.r_peaks, r)
 
     def test_too_few_beats_raises(self):
         x, r = _train(n_beats=5)
         with pytest.raises(ExtractionError, match="beats"):
-            beat_matrix(x, _beatmap(x, FS, r), min_beats=8)
+            beat_matrix(x, FS, r, min_beats=8)
 
 
 class TestTsBasic:
     def test_periodic_beats_cancel_below_1pct(self):
         x, r = _train(n_beats=30)
-        res = ts_basic(beat_matrix(x, _beatmap(x, FS, r)))
+        res = ts_basic(beat_matrix(x, FS, r))
         assert _span_rms(res.residual, res.spans) < 0.01 * _span_rms(x, res.spans)
         assert res.method == "TS_B"
         assert res.beats_used == len(res.spans)
@@ -95,7 +89,7 @@ class TestTsBasic:
         x, r = _train(n_beats=40, rr=170)
         t = np.arange(len(x)) / FS
         wave = 0.1 * np.sin(2 * np.pi * 6.0 * t)
-        res = ts_basic(beat_matrix(x + wave, _beatmap(x + wave, FS, r)))
+        res = ts_basic(beat_matrix(x + wave, FS, r))
         ps = welch_psd(res.residual, FS, seg_s=10)
         assert estimate_daf(ps).daf_hz == pytest.approx(6.0, abs=0.1)
         corr = np.corrcoef(res.residual, wave)[0, 1]
@@ -104,7 +98,7 @@ class TestTsBasic:
     def test_qrs_amplitude_reduced_10x(self, af_record, af_record_filtered):
         fs = af_record.fs
         det = detect_r_peaks_energy(af_record_filtered, fs)
-        res = ts_basic(beat_matrix(af_record_filtered, _beatmap(af_record_filtered, fs, det)))
+        res = ts_basic(beat_matrix(af_record_filtered, fs, det))
         # the residual legitimately keeps the f-wave, so measure the
         # ventricular leftover: residual minus the known atrial signal
         cancel_err = res.residual - af_record.clean_fwave
@@ -118,7 +112,7 @@ class TestTsBasic:
 
     def test_outside_spans_untouched(self):
         x, r = _train(n_beats=12, rr=250)
-        res = ts_basic(beat_matrix(x, _beatmap(x, FS, r)))
+        res = ts_basic(beat_matrix(x, FS, r))
         mask = np.ones(len(x), dtype=bool)
         for a, b in res.spans:
             mask[a:b] = False
@@ -126,7 +120,7 @@ class TestTsBasic:
 
     def test_length_preserved(self):
         x, r = _train()
-        res = ts_basic(beat_matrix(x, _beatmap(x, FS, r)))
+        res = ts_basic(beat_matrix(x, FS, r))
         assert len(res.residual) == len(x)
 
 
@@ -134,7 +128,7 @@ class TestTsScaled:
     def test_alternating_amplitudes_fit(self):
         scales = np.array([1.0, 1.2] * 10)
         x, r = _train(n_beats=20, scales=scales)
-        res = ts_scaled(beat_matrix(x, _beatmap(x, FS, r)))
+        res = ts_scaled(beat_matrix(x, FS, r))
         gains = res.per_beat_gains
         # gains alternate with the beat amplitudes (ratio 1.2) and the fit
         # cancels nearly everything
@@ -147,9 +141,8 @@ class TestTsScaled:
     def test_dominates_basic_per_span(self, af_record, af_record_filtered):
         fs = af_record.fs
         det = detect_r_peaks_energy(af_record_filtered, fs)
-        bm = _beatmap(af_record_filtered, fs, det)
-        basic = ts_basic(beat_matrix(af_record_filtered, bm))
-        scaled = ts_scaled(beat_matrix(af_record_filtered, bm))
+        basic = ts_basic(beat_matrix(af_record_filtered, fs, det))
+        scaled = ts_scaled(beat_matrix(af_record_filtered, fs, det))
         assert basic.spans == scaled.spans
         for a, b in basic.spans:
             eb = float(np.sum(basic.residual[a:b] ** 2))
@@ -159,7 +152,7 @@ class TestTsScaled:
     def test_gain_clamped_to_three(self):
         scales = np.array([1.0] * 19 + [50.0])
         x, r = _train(n_beats=20, scales=scales)
-        res = ts_scaled(beat_matrix(x, _beatmap(x, FS, r)))
+        res = ts_scaled(beat_matrix(x, FS, r))
         assert np.max(res.per_beat_gains) <= 3.0
         assert np.min(res.per_beat_gains) >= 0.0
 
@@ -167,16 +160,15 @@ class TestTsScaled:
         x = np.zeros(4000)
         r = np.arange(10) * 300 + 300
         with pytest.raises(ExtractionError, match="flat"):
-            ts_scaled(beat_matrix(x, _beatmap(x, FS, r)))
+            ts_scaled(beat_matrix(x, FS, r))
 
 
 class TestTsSegmentScaled:
     def test_identical_beats_match_basic(self):
         # all three segment gains are exactly 1, so crossfades blend 1 with 1
         x, r = _train(n_beats=25)
-        bm = _beatmap(x, FS, r)
-        su = ts_segment_scaled(beat_matrix(x, bm))
-        basic = ts_basic(beat_matrix(x, bm))
+        su = ts_segment_scaled(beat_matrix(x, FS, r))
+        basic = ts_basic(beat_matrix(x, FS, r))
         np.testing.assert_allclose(su.residual, basic.residual, atol=1e-12)
         assert su.method == "TS_SU"
 
@@ -189,7 +181,7 @@ class TestTsSegmentScaled:
         x = gauss_train(FS, n, r, bumps=qrs)
         t_scales = np.array([1.0, 1.6] * 10)
         x = x + gauss_train(FS, n, r, scales=t_scales, bumps=twave)
-        res = ts_segment_scaled(beat_matrix(x, _beatmap(x, FS, r)))
+        res = ts_segment_scaled(beat_matrix(x, FS, r))
         t_gains = np.array([g[2] for g in res.per_beat_gains])
         qrs_gains = np.array([g[1] for g in res.per_beat_gains])
         assert np.median(t_gains[1::2]) / np.median(t_gains[::2]) == pytest.approx(
@@ -206,7 +198,7 @@ class TestTsSegmentScaled:
         x = np.zeros(n)
         for rp in r:
             x[rp - 5 : rp + 6] += np.hamming(11)
-        res = ts_segment_scaled(beat_matrix(x, _beatmap(x, FS, r)))
+        res = ts_segment_scaled(beat_matrix(x, FS, r))
         assert any("P segment" in f for f in res.flags)
         assert all(g[0] == 0.0 for g in res.per_beat_gains)
 
@@ -214,7 +206,7 @@ class TestTsSegmentScaled:
 class TestTsPca:
     def test_identical_beats_rank1_cancels(self):
         x, r = _train(n_beats=20)
-        res = ts_pca(beat_matrix(x, _beatmap(x, FS, r)))
+        res = ts_pca(beat_matrix(x, FS, r))
         assert "rank=1" in res.flags
         assert _span_rms(res.residual, res.spans) < 1e-6 * _span_rms(x, res.spans)
         assert res.method == "TS_PCA"
@@ -223,7 +215,7 @@ class TestTsPca:
         rng = np.random.default_rng(2)
         x, r = _train(n_beats=20)
         x = x + rng.normal(0, 0.05, size=len(x))
-        res = ts_pca(beat_matrix(x, _beatmap(x, FS, r)), var_target=1.0, max_rank=3)
+        res = ts_pca(beat_matrix(x, FS, r), var_target=1.0, max_rank=3)
         assert "rank=3" in res.flags
 
     def test_drift_plus_wave_recovers_fundamental(self):
@@ -231,7 +223,7 @@ class TestTsPca:
         x, r = _train(n_beats=40, rr=170, scales=scales)
         t = np.arange(len(x)) / FS
         wave = 0.1 * np.sin(2 * np.pi * 7.0 * t) + 0.05 * np.sin(2 * np.pi * 14.0 * t)
-        res = ts_pca(beat_matrix(x + wave, _beatmap(x + wave, FS, r)))
+        res = ts_pca(beat_matrix(x + wave, FS, r))
         ps = welch_psd(res.residual, FS, seg_s=10)
         assert estimate_daf(ps).daf_hz == pytest.approx(7.0, abs=0.2)
 
@@ -239,13 +231,13 @@ class TestTsPca:
         rng = np.random.default_rng(3)
         x, r = _train(n_beats=12)
         x = x + rng.normal(0, 0.02, size=len(x))
-        res = ts_pca(beat_matrix(x, _beatmap(x, FS, r)), var_target=1.0, max_rank=12)
+        res = ts_pca(beat_matrix(x, FS, r), var_target=1.0, max_rank=12)
         assert _span_rms(res.residual, res.spans) < 1e-9
 
     def test_too_few_beats_raises(self):
         x, r = _train(n_beats=5)
         with pytest.raises(ExtractionError):
-            ts_pca(beat_matrix(x, _beatmap(x, FS, r)))
+            ts_pca(beat_matrix(x, FS, r))
 
 
 class TestSharedProperties:
@@ -253,16 +245,15 @@ class TestSharedProperties:
     def test_amplitude_equivariance(self, method, af_record, af_record_filtered):
         fs = af_record.fs
         det = detect_r_peaks_energy(af_record_filtered, fs)
-        bm = _beatmap(af_record_filtered, fs, det)
-        r1 = extract(method, beat_matrix(af_record_filtered, bm)).residual
-        r2 = extract(method, beat_matrix(2.5 * af_record_filtered, bm)).residual
+        r1 = extract(method, beat_matrix(af_record_filtered, fs, det)).residual
+        r2 = extract(method, beat_matrix(2.5 * af_record_filtered, fs, det)).residual
         np.testing.assert_allclose(r2, 2.5 * r1, rtol=1e-9, atol=1e-12)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_length_and_tag(self, method, af_record, af_record_filtered):
         fs = af_record.fs
         det = detect_r_peaks_energy(af_record_filtered, fs)
-        res = extract(method, beat_matrix(af_record_filtered, _beatmap(af_record_filtered, fs, det)))
+        res = extract(method, beat_matrix(af_record_filtered, fs, det))
         assert len(res.residual) == len(af_record_filtered)
         assert res.method == method
         assert np.all(np.isfinite(res.residual))
@@ -271,7 +262,7 @@ class TestSharedProperties:
     def test_fwave_correlation(self, method, af_record, af_record_filtered):
         fs = af_record.fs
         det = detect_r_peaks_energy(af_record_filtered, fs)
-        res = extract(method, beat_matrix(af_record_filtered, _beatmap(af_record_filtered, fs, det)))
+        res = extract(method, beat_matrix(af_record_filtered, fs, det))
         corr = np.corrcoef(res.residual, af_record.clean_fwave)[0, 1]
         assert corr >= 0.8
 
@@ -284,14 +275,14 @@ class TestSharedProperties:
         # keep the wave under the 5% variance budget the 0.95 target leaves
         # to non-ventricular content, or a quadrature gets absorbed
         wave = 0.05 * np.sin(2 * np.pi * 7.0 * t)
-        res = ts_pca(beat_matrix(x + wave, _beatmap(x + wave, FS, r)))
+        res = ts_pca(beat_matrix(x + wave, FS, r))
         assert np.corrcoef(res.residual, wave)[0, 1] >= 0.8
 
     def test_unknown_method(self, af_record, af_record_filtered):
         fs = af_record.fs
         det = detect_r_peaks_energy(af_record_filtered, fs)
         with pytest.raises(ExtractionError, match="unknown"):
-            extract("TS_X", beat_matrix(af_record_filtered, _beatmap(af_record_filtered, fs, det)))
+            extract("TS_X", beat_matrix(af_record_filtered, fs, det))
 
 
 @st.composite
@@ -337,16 +328,18 @@ def _outcome(fn):
 
 class TestMatchesReference:
     """Every extractor on the shared beat matrix gives exactly what the
-    per-extractor stacking gave before it (``extract_reference``)."""
+    per-extractor stacking gave before it (``extract_reference``). The
+    oracle cuts TS_SU's QRS at the fiducial table's qrs_on and qrs_off;
+    ``beat_matrix`` cuts it at fixed offsets from R."""
 
     @given(_windows())
     @settings(max_examples=300, deadline=None)
     def test_same_outputs_and_errors(self, case):
         fs, x, r, min_beats = case
-        beats = _beatmap(x, fs, r)
+        beats = segment_fiducials(x, fs, r)
         for method in METHODS:
             want = _outcome(lambda: REFERENCE[method](x, beats, min_beats=min_beats))
-            got = _outcome(lambda: extract(method, beat_matrix(x, beats, min_beats)))
+            got = _outcome(lambda: extract(method, beat_matrix(x, fs, r, min_beats)))
             if isinstance(want, str) or isinstance(got, str):
                 assert got == want, method
                 continue
@@ -362,9 +355,9 @@ class TestOneBeatMatrixPerWindow:
                                           tmp_path):
         calls = []
 
-        def counted(x, beats, min_beats):
+        def counted(x, fs, r_peaks, min_beats):
             calls.append(1)
-            return beat_matrix(x, beats, min_beats)
+            return beat_matrix(x, fs, r_peaks, min_beats)
 
         monkeypatch.setattr(fwave.pipeline, "beat_matrix", counted)
         (tmp_path / "residuals").mkdir()

@@ -357,43 +357,38 @@ class TestAfWindows:
             (130 * fs, 175 * fs, "AF"),
             (180 * fs, 880 * fs, "AF"),
         ])
-        res = extract_af_windows(rec, ann)
-        assert len(res.windows) == 2
-        assert res.excluded_events == [(130 * fs, 175 * fs)]
+        windows, excluded = extract_af_windows(rec, ann)
+        assert windows == [(0, 60 * fs), (180 * fs, 240 * fs)]
+        assert excluded == [(130 * fs, 175 * fs)]
 
     def test_windows_anchored_at_onset(self):
         fs = 200
         rec = _rec(300)
         ann = RhythmAnnotation(events=[(100 * fs, 250 * fs, "AF")])
-        res = extract_af_windows(rec, ann)
-        w = res.windows[0]
-        assert w.start_sample == 100 * fs
-        assert w.length_samples == 60 * fs
-        assert w.label == "AF"
-        assert w.end_sample <= 250 * fs  # fully inside the event
+        [(start, end)], _ = extract_af_windows(rec, ann)
+        assert start == 100 * fs
+        assert end - start == 60 * fs
+        assert end <= 250 * fs  # fully inside the event
 
     def test_exact_60s_event(self):
         fs = 200
         rec = _rec(120)
         ann = RhythmAnnotation(events=[(0, 60 * fs, "AF")])
-        res = extract_af_windows(rec, ann)
-        assert len(res.windows) == 1
-        assert res.windows[0].end_sample == 60 * fs
-        assert res.excluded_events == []
+        windows, excluded = extract_af_windows(rec, ann)
+        assert windows == [(0, 60 * fs)]
+        assert excluded == []
 
     def test_short_events_ignored(self):
         fs = 200
         rec = _rec(120)
         ann = RhythmAnnotation(events=[(0, 20 * fs, "AF")])
-        res = extract_af_windows(rec, ann)
-        assert res.windows == [] and res.excluded_events == []
+        assert extract_af_windows(rec, ann) == ([], [])
 
     def test_nonaf_events_skipped(self):
         fs = 200
         rec = _rec(200)
         ann = RhythmAnnotation(events=[(0, 200 * fs, "non-AF")])
-        res = extract_af_windows(rec, ann)
-        assert res.windows == []
+        assert extract_af_windows(rec, ann)[0] == []
 
 
 class TestNonAfSampling:
@@ -404,12 +399,11 @@ class TestNonAfSampling:
         wins, shortfall = sample_nonaf_windows(rec, ann, count=3, rng_seed=0)
         assert shortfall == 0
         assert len(wins) == 3
-        spans = sorted((w.start_sample, w.end_sample) for w in wins)
-        for (a0, b0), (a1, _) in zip(spans, spans[1:]):
+        assert wins == sorted(wins)
+        for (a0, b0), (a1, _) in zip(wins, wins[1:]):
             assert b0 <= a1  # disjoint
-        for a, b in spans:
-            assert 0 <= a and b <= 300 * fs
-        assert all(w.label == "non-AF" for w in wins)
+        for a, b in wins:
+            assert 0 <= a and b - a == 60 * fs and b <= 300 * fs
 
     def test_capacity_shortfall(self):
         fs = 200
@@ -425,6 +419,4 @@ class TestNonAfSampling:
         ann = RhythmAnnotation(events=[(0, 900 * fs, "non-AF")])
         a, _ = sample_nonaf_windows(rec, ann, count=4, rng_seed=7)
         b, _ = sample_nonaf_windows(rec, ann, count=4, rng_seed=7)
-        assert [(w.start_sample, w.end_sample) for w in a] == [
-            (w.start_sample, w.end_sample) for w in b
-        ]
+        assert a == b
