@@ -10,7 +10,6 @@ runs the energy detector once (see ``preprocess.compute_bsqi``).
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -43,11 +42,6 @@ class BeatMap:
             "rr_intervals": self.rr_intervals.tolist(),
             "fiducials": self.fiducials.tolist(),
         }
-
-
-class MatchedResult(NamedTuple):
-    indices: np.ndarray
-    degraded: bool
 
 
 def _odd(w: int) -> int:
@@ -164,32 +158,31 @@ def detect_r_peaks_energy(x, fs: float) -> np.ndarray:
     return _refine(x * x, _scan(feat, fs), int(round(0.100 * fs)), int(round(REFRACTORY_S * fs)))
 
 
-def detect_r_peaks_matched(x, fs: float, first) -> MatchedResult:
+def detect_r_peaks_matched(x, fs: float, first) -> np.ndarray:
     """Correlation against a QRS kernel averaged from first-pass detections.
 
     ``first`` holds the energy detector's R peaks on ``x``. They are
-    returned as they are (degraded=True) when fewer than three of them
-    are available to estimate a kernel.
+    returned as they are when fewer than three of them are available to
+    estimate a kernel.
     """
     x = np.asarray(x, dtype=np.float64)
     first = np.asarray(first, dtype=np.int64)
     half = int(round(KERNEL_HALF_S * fs))
     usable = first[(first >= half) & (first < len(x) - half)]
     if len(usable) < 3:
-        return MatchedResult(first, True)
+        return first
     kernel = np.mean([x[p - half : p + half + 1] for p in usable], axis=0)
     kernel = kernel - kernel.mean()
     norm = np.linalg.norm(kernel)
     if norm == 0:
-        return MatchedResult(first, True)
+        return first
     corr = np.correlate(x, kernel / norm, mode="same")
     feat = np.clip(corr, 0.0, None) ** 2
     # refine on the correlation itself so this detector stays independent
-    refined = _refine(corr, _scan(feat, fs), half, int(round(REFRACTORY_S * fs)))
-    return MatchedResult(refined, False)
+    return _refine(corr, _scan(feat, fs), half, int(round(REFRACTORY_S * fs)))
 
 
-def _matched_mask(det_a, det_b, tol: float) -> np.ndarray:
+def matched_mask(det_a, det_b, tol: float) -> np.ndarray:
     """Boolean mask over det_a marking detections matched in det_b within
     ``tol`` samples (greedy, one-to-one, in time order)."""
     mask = np.zeros(len(det_a), dtype=bool)
@@ -201,11 +194,6 @@ def _matched_mask(det_a, det_b, tol: float) -> np.ndarray:
             mask[i] = True
             j += 1
     return mask
-
-
-def match_detections(det_a, det_b, fs: float, tol_ms: float = 150.0) -> int:
-    """Number of detections in det_a matched within tol_ms in det_b (greedy)."""
-    return int(_matched_mask(det_a, det_b, tol_ms / 1000.0 * fs).sum())
 
 
 def segment_fiducials(x, fs: float, r_peaks) -> BeatMap:

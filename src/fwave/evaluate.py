@@ -83,11 +83,12 @@ class FeatureTable:
 
         A missing column, a short row, a non-finite or non-numeric
         ``daf_hz``, a ``label`` other than ``AF`` or ``non-AF``, a second
-        row for one (window_id, method) or bytes that are not UTF-8 raise
+        row for one (window_id, method), rows of one window that differ in
+        ``label`` or ``split``, or bytes that are not UTF-8 raise
         FormatError.
         """
         wid, met, daf, lab, spl = [], [], [], [], []
-        seen = set()
+        seen, window = set(), {}
         try:
             with open(path, newline="", encoding="utf-8") as fh:
                 reader = csv.DictReader(fh)
@@ -114,11 +115,18 @@ class FeatureTable:
                     if key in seen:
                         raise FormatError(f"{path}: line {reader.line_num}: second row for {key}")
                     seen.add(key)
+                    label_split = (row["label"], row.get("split", "") or "")
+                    first = window.setdefault(row["window_id"], label_split)
+                    if label_split != first:
+                        raise FormatError(
+                            f"{path}: line {reader.line_num}: window {row['window_id']!r} has "
+                            f"label, split {label_split}, an earlier row {first}"
+                        )
                     wid.append(row["window_id"])
                     met.append(row["method"])
                     daf.append(d)
-                    lab.append(row["label"])
-                    spl.append(row.get("split", "") or "")
+                    lab.append(label_split[0])
+                    spl.append(label_split[1])
         except (UnicodeDecodeError, csv.Error) as exc:
             raise FormatError(f"{path}: {exc}") from None
         return cls(wid, met, daf, lab, spl)
@@ -146,7 +154,6 @@ class ClassifierMetrics:
     auroc: float
     sensitivity: float
     ppv: float
-    threshold: float = DEFAULT_THRESHOLD
     n_train: int = 0
     n_test: int = 0
 
@@ -382,17 +389,13 @@ def auroc_rank(scores, labels) -> float:
     return (r_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def evaluate_model(
-    model: RandomForestModel,
-    table: FeatureTable,
-    threshold: float = DEFAULT_THRESHOLD,
-) -> ClassifierMetrics:
+def evaluate_model(model: RandomForestModel, table: FeatureTable) -> ClassifierMetrics:
     """F1 at the default probability threshold plus rank-statistic AUROC."""
     x_test, y_test, _ = table.select(method=model.method, split="test")
     if len(x_test) == 0:
         raise ConfigError(f"no test rows for method {model.method!r}")
     probs = predict_proba(model, x_test)
-    pred = probs >= threshold
+    pred = probs >= DEFAULT_THRESHOLD
     tp = int(np.sum(pred & (y_test == 1)))
     fp = int(np.sum(pred & (y_test == 0)))
     fn = int(np.sum(~pred & (y_test == 1)))
@@ -404,7 +407,6 @@ def evaluate_model(
         auroc=auroc_rank(probs, y_test),
         sensitivity=sens,
         ppv=ppv,
-        threshold=threshold,
         n_train=model.n_train,
         n_test=len(x_test),
     )

@@ -187,6 +187,14 @@ class PipelineConfig:
             raise ConfigError("bsqi_match_tol_ms must be >= 0")
         if not 0 < self.welch_seg_s:
             raise ConfigError("welch_seg_s must be positive")
+        # one Welch segment must fit in every window the run analyses
+        spans = {"window_s": self.window_s} if self.recordings else {}
+        if self.synth is not None:
+            spans["synth.duration_s"] = self.synth["duration_s"]
+        for key, span in spans.items():
+            if self.welch_seg_s > span:
+                raise ConfigError(f"welch_seg_s={self.welch_seg_s:g} is longer than the "
+                                  f"{span:g} s windows set by {key}")
         if not 0 <= self.welch_overlap < 1:
             raise ConfigError("welch_overlap must lie in [0, 1)")
         for key in ("rf_n_trees", "rf_max_depth", "workers", "min_beats"):
@@ -242,6 +250,12 @@ def _entry_ok(entry, fields) -> bool:
     )
 
 
+def _names_no_file(name) -> bool:
+    """``name``, an id that file names are made from, holds a path
+    separator or NUL."""
+    return bool({"/", os.sep, "\0"} & set(name))
+
+
 def _read_list(path, stage, key, fields) -> dict:
     """Load ``path``, an output of ``stage``: a JSON object whose ``key``
     lists objects that each have ``fields`` (name: type; a number must be
@@ -267,7 +281,7 @@ def _read_list(path, stage, key, fields) -> dict:
                                           f"not {' or '.join(LABELS)}")
         if eid in seen:
             raise _malformed(path, stage, f"{id_key} {eid!r} occurs twice")
-        if {"/", os.sep, "\0"} & set(eid):
+        if _names_no_file(eid):
             raise _malformed(path, stage, f"{id_key} {eid!r} cannot name a file")
         seen.add(eid)
     return doc
@@ -339,6 +353,9 @@ def _window_jobs(cfg: PipelineConfig):
             if not isinstance(path, str) or not os.path.isfile(path):
                 raise ConfigError(f"missing {path}: named by config key recordings[{i}].{key}")
         rec = dataio.load_recording(item["recording"])
+        if _names_no_file(rec.record_id):
+            raise FormatError(f"{item['recording']}: record_id {rec.record_id!r} "
+                              "cannot name a file")
         ann = dataio.load_annotations(item["annotation"])
         af, short = dataio.extract_af_windows(rec, ann, cfg.min_event_s, cfg.window_s)
         for onset, offset in short:
@@ -463,12 +480,9 @@ def stage_daf(cfg: PipelineConfig) -> FeatureTable:
             res_path = _path(cfg, "residuals", f"{wid}__{method}.fwk")
             _require(res_path, "extract")
             rec = dataio.load_recording(res_path)
-            ps = spectral.welch_psd(
-                rec.samples, fs, seg_s=cfg.welch_seg_s,
-                overlap=cfg.welch_overlap, method=method,
-            )
-            est = spectral.estimate_daf(ps)
-            table.append(wid, method, est.daf_hz, label)
+            ps = spectral.welch_psd(rec.samples, fs, seg_s=cfg.welch_seg_s,
+                                    overlap=cfg.welch_overlap)
+            table.append(wid, method, spectral.estimate_daf(ps), label)
             if label == "AF" and not spectra_dumped:
                 os.makedirs(spec_dir, exist_ok=True)
                 with open(os.path.join(spec_dir, f"{wid}__{method}.csv"), "w") as fh:
@@ -533,16 +547,17 @@ def stage_eval(cfg: PipelineConfig, table: FeatureTable | None = None) -> dict:
         # median-vote DAF per window over the voting set
         per_window = {}
         for wid, m, d, lab, spl in table.rows():
-            per_window.setdefault(wid, (lab, spl, []))[2].append(
-                spectral.DafEstimate(daf_hz=d, peak_power=0.0, method=m)
-            )
+            dafs = per_window.setdefault(wid, (lab, spl, {}))[2]
+            if m in dafs:
+                raise VotingError(f"window {wid}: duplicate estimate for method {m}")
+            dafs[m] = d
         for wid in sorted(per_window):
-            lab, spl, estimates = per_window[wid]
+            lab, spl, dafs = per_window[wid]
             try:
-                vote = spectral.vote_daf(estimates, voting_set)
+                vote = spectral.vote_daf(dafs, voting_set)
             except VotingError as exc:
                 raise VotingError(f"window {wid}: {exc}") from None
-            vote_table.append(wid, "vote", vote.daf_hz, lab, spl)
+            vote_table.append(wid, "vote", vote, lab, spl)
 
     vote_model = train_rf(
         vote_table, "vote", n_trees=cfg.rf_n_trees,

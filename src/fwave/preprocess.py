@@ -8,12 +8,12 @@ from are the window's R peaks: ``compute_bsqi`` returns them with the
 report, so nothing downstream runs a detector again.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy
 
-from .beats import _matched_mask, detect_r_peaks_energy, detect_r_peaks_matched, match_detections
+from .beats import detect_r_peaks_energy, detect_r_peaks_matched, matched_mask
 from .errors import ConfigError, SignalTooShortError
 
 
@@ -33,9 +33,8 @@ class FilterSpec:
 @dataclass
 class QualityReport:
     segment_bsqi: list  # of (start_sample, end_sample, bsqi)
-    threshold: float = 0.8
-    pass_mask: list = field(default_factory=list)
-    r_peaks: np.ndarray | None = None  # the energy detections the gate used
+    pass_mask: list
+    r_peaks: np.ndarray  # the energy detections the gate used
 
     def all_pass(self) -> bool:
         return bool(self.pass_mask) and all(self.pass_mask)
@@ -94,11 +93,6 @@ def _bsqi(m: int, na: int, nb: int) -> float:
     return m / denom if denom > 0 else 0.0
 
 
-def bsqi_from_detections(det_a, det_b, fs: float, match_tol_ms: float = 150.0) -> float:
-    """Agreement ratio m / (n_a + n_b - m) with m matches within the tolerance."""
-    return _bsqi(match_detections(det_a, det_b, fs, match_tol_ms), len(det_a), len(det_b))
-
-
 def compute_bsqi(
     x,
     fs: float,
@@ -117,9 +111,9 @@ def compute_bsqi(
         raise ConfigError("bSQI segment length must be at least 5 s")
     x = np.asarray(x, dtype=np.float64)
     det_a = detect_r_peaks_energy(x, fs)
-    det_b = detect_r_peaks_matched(x, fs, det_a).indices
+    det_b = detect_r_peaks_matched(x, fs, det_a)
     # pair up detections globally (greedy, nearest-in-time)
-    matched_a = _matched_mask(det_a, det_b, match_tol_ms / 1000.0 * fs)
+    matched_a = matched_mask(det_a, det_b, match_tol_ms / 1000.0 * fs)
 
     # segment edges; a tail shorter than half a segment joins the one before
     seg_n = int(round(segment_s * fs))
@@ -131,7 +125,5 @@ def compute_bsqi(
                  for d in (det_a, det_b, det_a[matched_a]))
     segments = [(s, e, _bsqi(*c)) for s, e, *c in zip(edges, edges[1:], m, na, nb)]
     mask = [b >= threshold for _, _, b in segments]
-    return QualityReport(
-        segment_bsqi=segments, threshold=threshold, pass_mask=mask, r_peaks=det_a
-    )
+    return QualityReport(segment_bsqi=segments, pass_mask=mask, r_peaks=det_a)
 

@@ -18,14 +18,6 @@ class PowerSpectrum:
     freqs: np.ndarray
     power: np.ndarray  # density, mV^2 / Hz
     resolution: float
-    method: str = ""
-
-
-@dataclass
-class DafEstimate:
-    daf_hz: float
-    peak_power: float
-    method: str = ""
 
 
 def welch_psd(
@@ -34,7 +26,6 @@ def welch_psd(
     seg_s: float = DEFAULT_SEG_S,
     overlap: float = DEFAULT_OVERLAP,
     nfft: int | None = None,
-    method: str = "",
 ) -> PowerSpectrum:
     """Hamming-window Welch density with 50% overlap by default.
 
@@ -67,17 +58,15 @@ def welch_psd(
         detrend=False,
         scaling="density",
     )
-    return PowerSpectrum(
-        freqs=freqs, power=power, resolution=float(freqs[1] - freqs[0]), method=method
-    )
+    return PowerSpectrum(freqs=freqs, power=power, resolution=float(freqs[1] - freqs[0]))
 
 
 def estimate_daf(
     ps: PowerSpectrum,
     band_low: float = DAF_BAND[0],
     band_high: float = DAF_BAND[1],
-) -> DafEstimate:
-    """Frequency of the largest power bin within the closed band.
+) -> float:
+    """Frequency (Hz) of the largest power bin within the closed band.
 
     Ties break toward the lower frequency (argmax takes the first bin).
     """
@@ -88,29 +77,16 @@ def estimate_daf(
             f"spectrum of {ps.resolution:g} Hz bins up to {ps.freqs[-1]:g} Hz has no bin "
             f"in the [{band_low}, {band_high}] Hz band; check welch_seg_s"
         )
-    band_f = ps.freqs[mask]
-    band_p = ps.power[mask]
-    i = int(np.argmax(band_p))
-    return DafEstimate(daf_hz=float(band_f[i]), peak_power=float(band_p[i]), method=ps.method)
+    return float(ps.freqs[mask][np.argmax(ps.power[mask])])
 
 
-def vote_daf(estimates, methods=("TS_B", "TS_CE", "TS_SU")) -> DafEstimate:
-    """Median of the selected methods' DAF estimates.
+def vote_daf(dafs, methods=("TS_B", "TS_CE", "TS_SU")) -> float:
+    """Median of the selected methods' DAFs; ``dafs`` maps method to Hz.
 
-    Every method in ``methods`` must have contributed exactly one
-    estimate. An even count yields the mean of the two middle values.
+    Every method in ``methods`` must have a DAF; other methods are
+    ignored. An even count yields the mean of the two middle values.
     """
-    methods = tuple(methods)
-    by_method = {}
-    for est in estimates:
-        if est.method in methods:
-            if est.method in by_method:
-                raise VotingError(f"duplicate estimate for method {est.method}")
-            by_method[est.method] = est
-    missing = [m for m in methods if m not in by_method]
+    missing = [m for m in methods if m not in dafs]
     if missing:
         raise VotingError(f"missing DAF estimate for method(s): {', '.join(missing)}")
-    values = [by_method[m].daf_hz for m in methods]
-    daf = float(np.median(values))
-    peak = float(np.median([by_method[m].peak_power for m in methods]))
-    return DafEstimate(daf_hz=daf, peak_power=peak, method="vote")
+    return float(np.median([dafs[m] for m in methods]))

@@ -17,7 +17,7 @@ from fwave.dataio import EcgRecording, write_recording
 from fwave.extract import METHODS, beat_matrix, extract
 from fwave.pipeline import PipelineConfig, run_pipeline
 from fwave.preprocess import compute_bsqi, prefilter
-from fwave.spectral import DafEstimate, estimate_daf, vote_daf, welch_psd
+from fwave.spectral import estimate_daf, vote_daf, welch_psd
 from fwave.evaluate import auroc_rank
 from fwave.synth import SynthConfig, generate
 
@@ -75,7 +75,7 @@ def test_criterion_1_daf_recovery():
         beats = _beats_of(x, truth.fs)
         for m in METHODS:
             res = extract(m, beat_matrix(x, beats.fs, beats.r_peaks))
-            daf = estimate_daf(welch_psd(res.residual, truth.fs, method=m)).daf_hz
+            daf = estimate_daf(welch_psd(res.residual, truth.fs))
             if abs(daf - f0) <= 0.2:
                 hits[m] += 1
     elapsed = time.time() - t0
@@ -186,7 +186,7 @@ def test_criterion_6_welch_correctness():
     """6 Hz tone -> DAF 6.0 within one bin; Parseval within 10% on 20 signals."""
     t = np.arange(int(60 * FS)) / FS
     ps = welch_psd(np.sin(2 * np.pi * 6.0 * t), FS)
-    daf = estimate_daf(ps).daf_hz
+    daf = estimate_daf(ps)
     tone_ok = ps.resolution <= 0.05 and abs(daf - 6.0) <= ps.resolution
 
     rng = np.random.default_rng(6)
@@ -212,22 +212,15 @@ def test_criterion_7_voting_algebra():
     ok = True
     for _ in range(1000):
         vals = rng.uniform(4.0, 12.0, size=3)
-        ests = [DafEstimate(daf_hz=float(v), peak_power=1.0, method=m)
-                for v, m in zip(vals, ("TS_B", "TS_CE", "TS_SU"))]
-        out = vote_daf(ests).daf_hz
+        dafs = [(m, float(v)) for m, v in zip(("TS_B", "TS_CE", "TS_SU"), vals)]
+        out = vote_daf(dict(dafs))
         ok &= min(vals) <= out <= max(vals)
-        ok &= vote_daf(ests[::-1]).daf_hz == out
+        ok &= vote_daf(dict(dafs[::-1])) == out
         ok &= out == float(np.sort(vals)[1])
         pair = rng.uniform(4.0, 12.0, size=2)
-        pests = [DafEstimate(daf_hz=float(v), peak_power=1.0, method=m)
-                 for v, m in zip(pair, ("TS_B", "TS_CE"))]
-        ok &= vote_daf(pests, methods=("TS_B", "TS_CE")).daf_hz == pytest.approx(
-            float(np.mean(pair)))
-    example = vote_daf([
-        DafEstimate(daf_hz=6.1, peak_power=1.0, method="TS_B"),
-        DafEstimate(daf_hz=5.81, peak_power=1.0, method="TS_CE"),
-        DafEstimate(daf_hz=5.96, peak_power=1.0, method="TS_SU"),
-    ]).daf_hz
+        ok &= vote_daf(dict(zip(("TS_B", "TS_CE"), pair.tolist())),
+                       methods=("TS_B", "TS_CE")) == pytest.approx(float(np.mean(pair)))
+    example = vote_daf({"TS_B": 6.1, "TS_CE": 5.81, "TS_SU": 5.96})
     ok = bool(ok) and example == pytest.approx(5.96)
     _verdict(7, ok, f"1000 random triples+pairs hold; "
                     f"{{6.1, 5.81, 5.96}} -> {example}")

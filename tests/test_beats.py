@@ -7,7 +7,7 @@ import fwave.preprocess
 from fwave.beats import (
     detect_r_peaks_energy,
     detect_r_peaks_matched,
-    match_detections,
+    matched_mask,
     segment_fiducials,
 )
 from fwave.errors import ExtractionError, SignalTooShortError
@@ -17,6 +17,7 @@ from fwave.preprocess import compute_bsqi, prefilter
 from conftest import gauss_train
 
 FS = 200.0
+TOL = 0.150 * FS  # the bSQI match tolerance, 150 ms, in samples
 
 
 class TestEnergyDetector:
@@ -70,17 +71,17 @@ class TestMatchedDetector:
     def test_agrees_with_energy_on_clean_signal(self, sinus_clean, sinus_clean_filtered):
         fs = sinus_clean.fs
         a = detect_r_peaks_energy(sinus_clean_filtered, fs)
-        res = detect_r_peaks_matched(sinus_clean_filtered, fs, a)
-        assert not res.degraded
-        m = match_detections(a, res.indices, fs, tol_ms=150)
-        assert m / max(len(a), len(res.indices)) >= 0.95
+        b = detect_r_peaks_matched(sinus_clean_filtered, fs, a)
+        assert b is not a  # the kernel ran: no fallback to the energy peaks
+        m = matched_mask(a, b, 0.150 * fs).sum()
+        assert m / max(len(a), len(b)) >= 0.95
 
     def test_white_noise_disagreement(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal(int(60 * FS))
         a = detect_r_peaks_energy(x, FS)
-        b = detect_r_peaks_matched(x, FS, a).indices
-        m = match_detections(a, b, FS, tol_ms=150)
+        b = detect_r_peaks_matched(x, FS, a)
+        m = matched_mask(a, b, TOL).sum()
         denom = len(a) + len(b) - m
         bsqi = m / denom if denom else 0.0
         assert bsqi < 0.8
@@ -89,9 +90,7 @@ class TestMatchedDetector:
         # two bumps in 10 s: not enough first-pass beats for a kernel
         x = gauss_train(FS, int(10 * FS), [600, 1400])
         first = detect_r_peaks_energy(x, FS)
-        res = detect_r_peaks_matched(x, FS, first)
-        assert res.degraded
-        assert np.array_equal(res.indices, first)
+        assert np.array_equal(detect_r_peaks_matched(x, FS, first), first)
 
 
 class TestDetectOnce:
@@ -121,18 +120,18 @@ class TestDetectOnce:
 class TestMatchDetections:
     def test_exact_match(self):
         a = np.array([100, 300, 500])
-        assert match_detections(a, a, FS) == 3
+        assert matched_mask(a, a, TOL).tolist() == [True, True, True]
 
     def test_tolerance_boundary(self):
-        tol_samples = int(0.150 * FS)  # 30 samples
+        tol_samples = int(TOL)  # 30 samples
         a = np.array([1000])
-        assert match_detections(a, np.array([1000 + tol_samples]), FS) == 1
-        assert match_detections(a, np.array([1000 + tol_samples + 1]), FS) == 0
+        assert matched_mask(a, np.array([1000 + tol_samples]), TOL).tolist() == [True]
+        assert matched_mask(a, np.array([1000 + tol_samples + 1]), TOL).tolist() == [False]
 
     def test_greedy_one_to_one(self):
         a = np.array([1000, 1010])
         b = np.array([1005])
-        assert match_detections(a, b, FS) == 1
+        assert matched_mask(a, b, TOL).tolist() == [True, False]
 
 
 class TestFiducials:

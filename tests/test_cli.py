@@ -395,6 +395,24 @@ class TestWindowIds:
         out = tmp_path / "out"
         assert not (out / "residuals").exists() and not (out / "windows.json").exists()
 
+    @pytest.mark.parametrize("record_id", ["a/b", "a\0b"], ids=["slash", "nul"])
+    def test_record_id_naming_no_file_rejected(self, tmp_path, capsys, record_id):
+        # window ids start with the header record_id and name residual files
+        fs = 200
+        rec_path = tmp_path / "r.fwk"
+        write_recording(EcgRecording(0.1 * np.sin(np.arange(130 * fs) * 0.05), fs,
+                                     record_id=record_id), rec_path, fmt="binary")
+        ann_path = tmp_path / "r.json"
+        ann_path.write_text(json.dumps([
+            {"onset": 0, "offset": 65 * fs, "label": "AF"},
+            {"onset": 65 * fs, "offset": 130 * fs, "label": "non-AF"},
+        ]))
+        cfg = _config(tmp_path, synth=None,
+                      recordings=[{"recording": str(rec_path), "annotation": str(ann_path)}])
+        assert main(["extract", "--config", cfg]) == 1
+        _one_line_error(capsys, str(rec_path), repr(record_id), prefix="error: ")
+        assert not (tmp_path / "out" / "residuals").exists()
+
 
 class TestStaleManifest:
     def test_recordings_run_ignores_old_synth_records(self, tmp_path):
@@ -522,6 +540,7 @@ class TestExitCodes:
         ("filter", {"notch_freq": -60}, "filter.notch_freq"),
         ("filter", {"notch_q": 0}, "filter.notch_q"),
         ("filter", {"notch_q": -1}, "filter.notch_q"),
+        ("welch_seg_s", 40.0, "welch_seg_s"),  # longer than the 30 s records
     ])
     def test_unbuildable_filter_or_spectrum_is_2(self, tmp_path, capsys, key, value, needle):
         cfg = _config(tmp_path, synth={"n_af": 3, "n_sinus": 3, "duration_s": 30.0},
@@ -657,8 +676,12 @@ class TestEvalOnFeatureTable:
         (b"window_id,method,daf_hz,label,split\nw0,vote,6.1,af,train\n", "line 2"),
         (b"window_id,method,daf_hz,label,split\nw0,vote,6.1,AF,train\n"
          b"w1,vote,9.8,XX,train\n", "'XX'"),
+        (b"window_id,method,daf_hz,label,split\nw0,TS_B,6.1,non-AF,train\n"
+         b"w0,TS_CE,6.2,AF,train\n", "line 3: window 'w0'"),
+        (b"window_id,method,daf_hz,label,split\nw1,TS_B,6.1,AF,train\n"
+         b"w1,TS_SU,6.2,AF,test\n", "line 3: window 'w1'"),
     ], ids=["no_daf_column", "non_numeric", "non_utf8", "repeated_row", "lowercase_label",
-            "unknown_label"])
+            "unknown_label", "label_differs_in_window", "split_differs_in_window"])
     def test_malformed_table_is_exit_1(self, tmp_path, capsys, data, needle):
         feat = tmp_path / "features.csv"
         feat.write_bytes(data)

@@ -91,7 +91,7 @@ class TestTsBasic:
         wave = 0.1 * np.sin(2 * np.pi * 6.0 * t)
         res = ts_basic(beat_matrix(x + wave, FS, r))
         ps = welch_psd(res.residual, FS, seg_s=10)
-        assert estimate_daf(ps).daf_hz == pytest.approx(6.0, abs=0.1)
+        assert estimate_daf(ps) == pytest.approx(6.0, abs=0.1)
         corr = np.corrcoef(res.residual, wave)[0, 1]
         assert corr >= 0.8
 
@@ -225,7 +225,7 @@ class TestTsPca:
         wave = 0.1 * np.sin(2 * np.pi * 7.0 * t) + 0.05 * np.sin(2 * np.pi * 14.0 * t)
         res = ts_pca(beat_matrix(x + wave, FS, r))
         ps = welch_psd(res.residual, FS, seg_s=10)
-        assert estimate_daf(ps).daf_hz == pytest.approx(7.0, abs=0.2)
+        assert estimate_daf(ps) == pytest.approx(7.0, abs=0.2)
 
     def test_full_basis_drives_residual_to_zero(self):
         rng = np.random.default_rng(3)

@@ -4,12 +4,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fwave.preprocess
-from fwave.beats import MatchedResult
 from fwave.errors import ConfigError, SignalTooShortError
 from fwave.preprocess import (
     FilterSpec,
     bandpass_zero_phase,
-    bsqi_from_detections,
     compute_bsqi,
     notch_zero_phase,
     prefilter,
@@ -118,26 +116,35 @@ class TestNotch:
         assert np.array_equal(y, prefilter(x, FS, FilterSpec(notch_enabled=False)))
 
 
+def _one_segment_bsqi(det_a, det_b, n=60000):
+    """The bSQI ``compute_bsqi`` gives an n-sample signal, taken as one
+    segment, on which the energy detector finds ``det_a`` and the
+    matched detector ``det_b``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fwave.preprocess, "detect_r_peaks_energy", lambda x, fs: det_a)
+        mp.setattr(fwave.preprocess, "detect_r_peaks_matched", lambda x, fs, first: det_b)
+        [(_, _, bsqi)] = compute_bsqi(np.zeros(n), FS, segment_s=n / FS).segment_bsqi
+    return bsqi
+
+
 class TestBsqiFormula:
     def test_perfect_agreement(self):
         det = np.arange(12) * 200 + 500
-        assert bsqi_from_detections(det, det, FS) == pytest.approx(1.0)
+        assert _one_segment_bsqi(det, det) == pytest.approx(1.0)
 
     def test_one_missed_beat(self):
         a = np.arange(10) * 200 + 500
         b = a[:-1]
-        assert bsqi_from_detections(a, b, FS) == pytest.approx(9 / (10 + 9 - 9))
+        assert _one_segment_bsqi(a, b) == pytest.approx(9 / (10 + 9 - 9))
 
     def test_symmetry(self):
         rng = np.random.default_rng(5)
         a = np.sort(rng.choice(60000, 40, replace=False))
         b = np.sort(rng.choice(60000, 35, replace=False))
-        assert bsqi_from_detections(a, b, FS) == pytest.approx(
-            bsqi_from_detections(b, a, FS)
-        )
+        assert _one_segment_bsqi(a, b) == pytest.approx(_one_segment_bsqi(b, a))
 
     def test_empty_detections_score_zero(self):
-        assert bsqi_from_detections(np.array([]), np.array([]), FS) == 0.0
+        assert _one_segment_bsqi(np.array([], dtype=np.int64), np.array([], dtype=np.int64)) == 0.0
 
 
 class TestComputeBsqi:
@@ -223,9 +230,8 @@ class TestBsqiCounts:
         det_a, det_b, matched_a, n, seg_n, threshold = case
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fwave.preprocess, "detect_r_peaks_energy", lambda x, fs: det_a)
-            mp.setattr(fwave.preprocess, "detect_r_peaks_matched",
-                       lambda x, fs, first: MatchedResult(det_b, False))
-            mp.setattr(fwave.preprocess, "_matched_mask", lambda a, b, tol: matched_a)
+            mp.setattr(fwave.preprocess, "detect_r_peaks_matched", lambda x, fs, first: det_b)
+            mp.setattr(fwave.preprocess, "matched_mask", lambda a, b, tol: matched_a)
             report = compute_bsqi(np.zeros(n), 1.0, segment_s=float(seg_n),
                                   threshold=threshold)
         segments, mask = _segment_loop(det_a, det_b, matched_a, n, seg_n, threshold)

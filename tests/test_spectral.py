@@ -4,13 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fwave.errors import ConfigError, SignalTooShortError, VotingError
-from fwave.spectral import (
-    DafEstimate,
-    PowerSpectrum,
-    estimate_daf,
-    vote_daf,
-    welch_psd,
-)
+from fwave.evaluate import FeatureTable
+from fwave.pipeline import PipelineConfig, stage_eval
+from fwave.spectral import PowerSpectrum, estimate_daf, vote_daf, welch_psd
 
 FS = 200.0
 
@@ -56,11 +52,6 @@ class TestWelch:
         np.testing.assert_allclose(np.diff(ps.freqs), ps.resolution)
         assert ps.freqs[0] == 0.0 and ps.freqs[-1] == pytest.approx(FS / 2)
 
-    def test_method_tag_carried(self):
-        ps = welch_psd(_tone(6.0), FS, method="TS_B")
-        assert ps.method == "TS_B"
-        assert estimate_daf(ps).method == "TS_B"
-
     def test_too_short_raises(self):
         with pytest.raises(SignalTooShortError):
             welch_psd(np.zeros(100), FS, seg_s=10)
@@ -70,23 +61,22 @@ class TestWelch:
         ps1 = welch_psd(x, FS)
         nfft1 = 2 * (len(ps1.freqs) - 1)
         ps2 = welch_psd(x, FS, nfft=2 * nfft1)
-        d1 = estimate_daf(ps1).daf_hz
-        d2 = estimate_daf(ps2).daf_hz
+        d1 = estimate_daf(ps1)
+        d2 = estimate_daf(ps2)
         assert abs(d1 - d2) <= ps1.resolution + 1e-12
 
 
 class TestEstimateDaf:
     def test_out_of_band_energy_ignored(self):
         x = _tone(3.0, amp=2.0) + _tone(7.0, amp=0.1)
-        est = estimate_daf(welch_psd(x, FS))
-        assert est.daf_hz == pytest.approx(7.0, abs=0.05)
+        assert estimate_daf(welch_psd(x, FS)) == pytest.approx(7.0, abs=0.05)
 
     def test_band_bounds_inclusive(self):
         freqs = np.arange(0, 101) * 0.2
         power = np.zeros(101)
         power[np.argmin(np.abs(freqs - 12.0))] = 1.0
         ps = PowerSpectrum(freqs=freqs, power=power, resolution=0.2)
-        assert estimate_daf(ps).daf_hz == pytest.approx(12.0)
+        assert estimate_daf(ps) == pytest.approx(12.0)
 
     def test_tie_breaks_toward_lower_frequency(self):
         freqs = np.arange(0, 101) * 0.2
@@ -94,13 +84,13 @@ class TestEstimateDaf:
         power[30] = 1.0  # 6.0 Hz
         power[40] = 1.0  # 8.0 Hz
         ps = PowerSpectrum(freqs=freqs, power=power, resolution=0.2)
-        assert estimate_daf(ps).daf_hz == pytest.approx(6.0)
+        assert estimate_daf(ps) == pytest.approx(6.0)
 
     def test_scaling_invariance(self):
         ps = welch_psd(_tone(8.2), FS)
         scaled = PowerSpectrum(freqs=ps.freqs, power=37.0 * ps.power,
                                resolution=ps.resolution)
-        assert estimate_daf(ps).daf_hz == estimate_daf(scaled).daf_hz
+        assert estimate_daf(ps) == estimate_daf(scaled)
 
     def test_band_not_covered_raises(self):
         ps = PowerSpectrum(freqs=np.array([0.0, 1.0]), power=np.array([1.0, 1.0]),
@@ -109,45 +99,41 @@ class TestEstimateDaf:
             estimate_daf(ps)
 
 
-def _est(method, daf):
-    return DafEstimate(daf_hz=daf, peak_power=1.0, method=method)
-
-
 class TestVoteDaf:
     def test_median_of_three(self):
-        out = vote_daf([_est("TS_B", 6.1), _est("TS_CE", 5.81), _est("TS_SU", 5.96)])
-        assert out.daf_hz == pytest.approx(5.96)
-        assert out.method == "vote"
+        assert vote_daf({"TS_B": 6.1, "TS_CE": 5.81, "TS_SU": 5.96}) == pytest.approx(5.96)
 
     def test_even_count_mean_of_middles(self):
-        out = vote_daf([_est("TS_B", 5.0), _est("TS_CE", 7.0)],
-                       methods=("TS_B", "TS_CE"))
-        assert out.daf_hz == pytest.approx(6.0)
+        out = vote_daf({"TS_B": 5.0, "TS_CE": 7.0}, methods=("TS_B", "TS_CE"))
+        assert out == pytest.approx(6.0)
 
     def test_constant_inputs(self):
-        out = vote_daf([_est(m, 6.25) for m in ("TS_B", "TS_CE", "TS_SU")])
-        assert out.daf_hz == pytest.approx(6.25)
+        assert vote_daf(dict.fromkeys(("TS_B", "TS_CE", "TS_SU"), 6.25)) == pytest.approx(6.25)
 
     def test_missing_method_named(self):
         with pytest.raises(VotingError, match="TS_SU"):
-            vote_daf([_est("TS_B", 6.0), _est("TS_CE", 6.0)])
+            vote_daf({"TS_B": 6.0, "TS_CE": 6.0})
 
-    def test_duplicate_method_rejected(self):
-        with pytest.raises(VotingError, match="duplicate"):
-            vote_daf([_est("TS_B", 6.0), _est("TS_B", 6.1), _est("TS_CE", 6.0),
-                      _est("TS_SU", 6.0)])
+    def test_duplicate_method_rejected(self, tmp_path):
+        # a mapping holds one DAF per method, so the stage that builds it
+        # refuses a table built in code with a second row for a window
+        table = FeatureTable.empty()
+        for i in range(10):
+            for m in ("TS_B", "TS_CE", "TS_SU"):
+                table.append(f"w{i}", m, 6.0 + i / 10, "AF" if i % 2 else "non-AF")
+        table.append("w3", "TS_B", 6.1, "AF")
+        with pytest.raises(VotingError, match="window w3: duplicate estimate for method TS_B"):
+            stage_eval(PipelineConfig(out_dir=str(tmp_path / "o")), table)
 
     def test_extra_methods_ignored(self):
-        out = vote_daf([_est("TS_B", 6.0), _est("TS_CE", 6.0), _est("TS_SU", 6.0),
-                        _est("TS_PCA", 11.0)])
-        assert out.daf_hz == pytest.approx(6.0)
+        out = vote_daf({"TS_B": 6.0, "TS_CE": 6.0, "TS_SU": 6.0, "TS_PCA": 11.0})
+        assert out == pytest.approx(6.0)
 
     @given(st.lists(st.floats(min_value=4.0, max_value=12.0), min_size=3, max_size=3))
     @settings(max_examples=200, deadline=None)
     def test_median_bounds_and_permutation(self, vals):
-        methods = ("TS_B", "TS_CE", "TS_SU")
-        ests = [_est(m, v) for m, v in zip(methods, vals)]
-        out = vote_daf(ests).daf_hz
+        dafs = list(zip(("TS_B", "TS_CE", "TS_SU"), vals))
+        out = vote_daf(dict(dafs))
         assert min(vals) - 1e-12 <= out <= max(vals) + 1e-12
-        assert vote_daf(ests[::-1]).daf_hz == out
+        assert vote_daf(dict(dafs[::-1])) == out
         assert out == sorted(vals)[1]
