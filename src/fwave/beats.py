@@ -1,4 +1,4 @@
-"""R-peak detection and per-beat fiducial windows.
+"""R-peak detection.
 
 Two detectors of different principles are provided so that their
 agreement (bSQI) reflects signal quality rather than detector identity:
@@ -6,42 +6,18 @@ an energy detector (derivative - square - moving integration with an
 adaptive threshold, after Pan & Tompkins) and a matched-filter detector
 correlating against a QRS kernel averaged from the energy detections.
 The matched detector takes those detections as an argument, so a window
-runs the energy detector once (see ``preprocess.compute_bsqi``).
+runs the energy detector once (see ``preprocess.compute_bsqi``). Where
+beats are cut around these peaks is declared in ``extract``.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExtractionError, SignalTooShortError
+from .errors import SignalTooShortError
 
 REFRACTORY_S = 0.2  # 300 bpm ceiling
 INTEG_WINDOW_S = 0.150
 KERNEL_HALF_S = 0.060
 SEARCHBACK_S = 1.2  # gap without a beat that triggers half-threshold searchback
-
-# beat layout around R: the template span (also the p_on and longest t_off
-# fiducials) and the QRS complex
-SPAN_PRE_S = 0.300
-SPAN_POST_S = 0.450
-QRS_ON_S = 0.050
-QRS_OFF_S = 0.100
-
-
-@dataclass
-class BeatMap:
-    fs: float
-    r_peaks: np.ndarray  # sorted sample indices
-    rr_intervals: np.ndarray  # seconds, len = len(r_peaks) - 1
-    fiducials: np.ndarray  # (n_beats, 4): p_on, qrs_on, qrs_off, t_off
-
-    def to_json_dict(self) -> dict:
-        return {
-            "fs": self.fs,
-            "r_peaks": self.r_peaks.tolist(),
-            "rr_intervals": self.rr_intervals.tolist(),
-            "fiducials": self.fiducials.tolist(),
-        }
 
 
 def _odd(w: int) -> int:
@@ -194,37 +170,3 @@ def matched_mask(det_a, det_b, tol: float) -> np.ndarray:
             mask[i] = True
             j += 1
     return mask
-
-
-def segment_fiducials(x, fs: float, r_peaks) -> BeatMap:
-    """Fixed-offset fiducials per beat, clipped to bounds and neighbors.
-
-    p_on = R - SPAN_PRE_S, qrs_on = R - QRS_ON_S, qrs_off = R + QRS_OFF_S,
-    t_off = R + min(SPAN_POST_S, 0.7 * RR_next). The last beat uses the
-    median RR for the t_off rule.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    r_peaks = np.asarray(r_peaks, dtype=np.int64)
-    if len(r_peaks) < 2:
-        raise ExtractionError("need at least 2 R-peaks for fiducials")
-    n = len(x)
-    rr = np.diff(r_peaks) / fs
-    med_rr = float(np.median(rr))
-    p_off = int(round(SPAN_PRE_S * fs))
-    qon_off = int(round(QRS_ON_S * fs))
-    qoff_off = int(round(QRS_OFF_S * fs))
-    fid = np.zeros((len(r_peaks), 4), dtype=np.int64)
-    for i, r in enumerate(r_peaks):
-        rr_next = rr[i] if i < len(rr) else med_rr
-        t_len = int(round(min(SPAN_POST_S, 0.7 * rr_next) * fs))
-        p_on = max(0, r - p_off)
-        qrs_on = max(p_on, r - qon_off)
-        qrs_off = min(n - 1, r + qoff_off)
-        t_off = min(n - 1, r + t_len)
-        if i + 1 < len(r_peaks):
-            # never extend into the next QRS (0.7*RR < RR - 50 ms for any
-            # RR above the refractory period, so this rarely binds)
-            t_off = min(t_off, r_peaks[i + 1] - qon_off)
-        t_off = max(t_off, qrs_off)
-        fid[i] = (p_on, qrs_on, qrs_off, t_off)
-    return BeatMap(fs=fs, r_peaks=r_peaks, rr_intervals=rr, fiducials=fid)

@@ -16,7 +16,8 @@ One ``BeatMatrix`` per window (``beat_matrix``, from the window's R
 peaks) holds what the four share: the beats whose full template span
 fits inside the signal, their R-aligned (beats x span) stack, its mean
 template and each beat's span, clipped at the following beat's span
-start so spans never overlap.
+start so spans never overlap; ``segment_fiducials`` lists each kept
+beat's cuts, which TS_SU fits its gains between and ``--dump-beats`` writes.
 Every extractor builds from that matrix its model of each beat, a
 (beats x span) matrix: the template, the template times a gain per beat
 or per sample, or a low-rank reconstruction. One gather/scatter then
@@ -29,11 +30,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beats import QRS_OFF_S, QRS_ON_S, SPAN_POST_S, SPAN_PRE_S
 from .errors import ExtractionError
 
 METHODS = ("TS_B", "TS_CE", "TS_SU", "TS_PCA")
 
+# beat layout around R: the template span and the QRS complex
+SPAN_PRE_S = 0.300
+SPAN_POST_S = 0.450
+QRS_ON_S = 0.050
+QRS_OFF_S = 0.100
 GAIN_CLAMP = (0.0, 3.0)
 CROSSFADE_S = 0.020
 DEFAULT_MIN_BEATS = 8
@@ -91,6 +96,15 @@ def beat_matrix(x, fs: float, r_peaks, min_beats: int = DEFAULT_MIN_BEATS) -> Be
     return BeatMatrix(x, fs, r[kept], stack, template, starts, ends, row, col)
 
 
+def segment_fiducials(bm: BeatMatrix) -> np.ndarray:
+    """Each kept beat's cuts (kept beats x 4): span start, QRS onset, QRS
+    offset and span end, the bounds of its half-open P, QRS and T
+    sub-spans. The QRS is R - QRS_ON_S to R + QRS_OFF_S, clipped to the span."""
+    qrs_on = np.clip(bm.r_peaks - int(round(QRS_ON_S * bm.fs)), bm.starts, bm.ends)
+    qrs_off = np.clip(bm.r_peaks + int(round(QRS_OFF_S * bm.fs)), bm.starts, bm.ends)
+    return np.stack([bm.starts, qrs_on, qrs_off, bm.ends], axis=1)
+
+
 def _subtract(bm: BeatMatrix, method, model, gains=None, flags=()):
     """Subtract from each kept beat's clipped span its row of ``model``
     (kept beats x span), in one gather/scatter over all spans."""
@@ -144,16 +158,13 @@ def ts_scaled(bm: BeatMatrix) -> FWaveSignal:
 def ts_segment_scaled(bm: BeatMatrix) -> FWaveSignal:
     """Independent P / QRS / T least-squares gains with a 20 ms crossfade.
 
-    The QRS runs from R - QRS_ON_S to R + QRS_OFF_S, and the T-segment
-    gain extends from there through the end of the span; a degenerate
+    The sub-windows are cut at ``segment_fiducials``; the T-segment gain
+    extends from the QRS offset through the end of the span. A degenerate
     (flat) template sub-window gets gain 0 and a flag.
     """
-    fs, a, b = bm.fs, bm.starts, bm.ends
-    fade = int(round(CROSSFADE_S * fs))
-    # segment boundaries inside [a, b)
-    b1 = np.clip(bm.r_peaks - int(round(QRS_ON_S * fs)), a, b)
-    b2 = np.clip(bm.r_peaks + int(round(QRS_OFF_S * fs)), a, b)
-    cuts = np.stack([a, b1, b2, b], axis=1)
+    cuts = segment_fiducials(bm)
+    a, b1, b2, b = cuts.T
+    fade = int(round(CROSSFADE_S * bm.fs))
     g, flat = _ls_gains(bm, cuts)
     r = bm.r_peaks.tolist()
     # an empty segment gets gain 0 without a flag

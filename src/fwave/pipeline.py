@@ -40,9 +40,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dataio, spectral, synth
-from .extract import DEFAULT_MIN_BEATS, METHODS, beat_matrix, extract as run_extractor
+from .extract import DEFAULT_MIN_BEATS, METHODS, beat_matrix, segment_fiducials
+from .extract import extract as run_extractor
 # detect_r_peaks_energy is not called here; perfbench/tracing.py wraps it under this name
-from .beats import detect_r_peaks_energy, segment_fiducials  # noqa: F401
+from .beats import detect_r_peaks_energy  # noqa: F401
 from .errors import (
     ConfigError,
     ExtractionError,
@@ -59,7 +60,7 @@ from .evaluate import (
     stratified_split,
     train_rf,
 )
-from .preprocess import FilterSpec, compute_bsqi, prefilter
+from .preprocess import FilterSpec, check_notch, compute_bsqi, prefilter
 
 # Published reference results from the clinical Holter study this
 # pipeline replicates (private dataset; NOT reproducible here).
@@ -148,6 +149,8 @@ class PipelineConfig:
                 setattr(self, key, tuple(getattr(self, key)))
         _check_types(self)
         _check_types(self.filter, "filter.")
+        if self.filter.notch_enabled:
+            check_notch(self.filter)
         if self.synth is not None:
             block = {name: p.default for name, p in _SYNTH_PARAMS.items()}
             for key, value in self.synth.items():
@@ -403,8 +406,8 @@ def _process_window(args):
 
     The R peaks are the energy detections the bSQI gate computed; the
     detector runs once per window, and so does ``beat_matrix``, whose
-    stack, template and spans every extractor shares. The fiducial table
-    (``segment_fiducials``) is built only for the beat map dump.
+    stack, template and spans every extractor shares. The beat dump
+    holds the kept beats' R peaks and cuts (``segment_fiducials``).
 
     Returns the window's ledger row, ``{"window_id", "label", "fs"}``,
     or ``{"window_id", "excluded"}`` with the reason.
@@ -429,7 +432,8 @@ def _process_window(args):
         dataio.write_recording(rec, _path(cfg, "residuals", f"{wid}__{method}.fwk"), fmt="binary")
     if cfg.dump_beats:
         with open(_path(cfg, "beats", f"{wid}.json"), "w") as fh:
-            json.dump(segment_fiducials(x, fs, report.r_peaks).to_json_dict(), fh)
+            json.dump({"fs": fs, "r_peaks": bm.r_peaks.tolist(),
+                       "fiducials": segment_fiducials(bm).tolist()}, fh)
     return {"window_id": wid, "label": label, "fs": fs}
 
 

@@ -61,6 +61,13 @@ def bandpass_zero_phase(x, fs: float, spec: FilterSpec | None = None) -> np.ndar
     return scipy.signal.filtfilt(b, a, x, padtype="even", padlen=padlen)
 
 
+def check_notch(spec: FilterSpec) -> None:
+    """Raise ConfigError unless the notch's frequency and quality are positive."""
+    for key, value in (("notch_freq", spec.notch_freq), ("notch_q", spec.notch_q)):
+        if not value > 0:
+            raise ConfigError(f"filter.{key} must be positive, not {value}")
+
+
 def notch_zero_phase(x, fs: float, spec: FilterSpec | None = None) -> np.ndarray:
     """Forward-backward notch at spec.notch_freq with quality spec.notch_q."""
     spec = spec or FilterSpec()
@@ -69,9 +76,7 @@ def notch_zero_phase(x, fs: float, spec: FilterSpec | None = None) -> np.ndarray
         raise ConfigError(
             f"notch at {spec.notch_freq} Hz infeasible for fs={fs} (Nyquist {fs / 2})"
         )
-    for key, value in (("notch_freq", spec.notch_freq), ("notch_q", spec.notch_q)):
-        if not value > 0:
-            raise ConfigError(f"filter.{key} must be positive, not {value}")
+    check_notch(spec)
     b, a = scipy.signal.iirnotch(spec.notch_freq, spec.notch_q, fs=fs)
     if len(x) <= 12:
         raise SignalTooShortError(f"signal of {len(x)} samples too short for notch")

@@ -2,20 +2,77 @@
 one stacked its own beats, built its own template and clipped its own
 spans. Kept verbatim as the oracle for the property in test_extract.py;
 only the imports and the ``REFERENCE`` table at the end are new.
+
+They read a ``BeatMap``, the fiducial table the package built before
+``extract.segment_fiducials`` listed the cuts of the kept beats; that
+builder, ``segment_fiducials`` below, is kept verbatim with them.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from fwave.beats import SPAN_POST_S, SPAN_PRE_S, BeatMap
 from fwave.errors import ExtractionError
 from fwave.extract import (
     CROSSFADE_S,
     DEFAULT_MIN_BEATS,
     GAIN_CLAMP,
+    QRS_OFF_S,
+    QRS_ON_S,
+    SPAN_POST_S,
+    SPAN_PRE_S,
     FWaveSignal,
 )
+
+
+@dataclass
+class BeatMap:
+    fs: float
+    r_peaks: np.ndarray  # sorted sample indices
+    rr_intervals: np.ndarray  # seconds, len = len(r_peaks) - 1
+    fiducials: np.ndarray  # (n_beats, 4): p_on, qrs_on, qrs_off, t_off
+
+    def to_json_dict(self) -> dict:
+        return {
+            "fs": self.fs,
+            "r_peaks": self.r_peaks.tolist(),
+            "rr_intervals": self.rr_intervals.tolist(),
+            "fiducials": self.fiducials.tolist(),
+        }
+
+
+def segment_fiducials(x, fs: float, r_peaks) -> BeatMap:
+    """Fixed-offset fiducials per beat, clipped to bounds and neighbors.
+
+    p_on = R - SPAN_PRE_S, qrs_on = R - QRS_ON_S, qrs_off = R + QRS_OFF_S,
+    t_off = R + min(SPAN_POST_S, 0.7 * RR_next). The last beat uses the
+    median RR for the t_off rule.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    r_peaks = np.asarray(r_peaks, dtype=np.int64)
+    if len(r_peaks) < 2:
+        raise ExtractionError("need at least 2 R-peaks for fiducials")
+    n = len(x)
+    rr = np.diff(r_peaks) / fs
+    med_rr = float(np.median(rr))
+    p_off = int(round(SPAN_PRE_S * fs))
+    qon_off = int(round(QRS_ON_S * fs))
+    qoff_off = int(round(QRS_OFF_S * fs))
+    fid = np.zeros((len(r_peaks), 4), dtype=np.int64)
+    for i, r in enumerate(r_peaks):
+        rr_next = rr[i] if i < len(rr) else med_rr
+        t_len = int(round(min(SPAN_POST_S, 0.7 * rr_next) * fs))
+        p_on = max(0, r - p_off)
+        qrs_on = max(p_on, r - qon_off)
+        qrs_off = min(n - 1, r + qoff_off)
+        t_off = min(n - 1, r + t_len)
+        if i + 1 < len(r_peaks):
+            # never extend into the next QRS (0.7*RR < RR - 50 ms for any
+            # RR above the refractory period, so this rarely binds)
+            t_off = min(t_off, r_peaks[i + 1] - qon_off)
+        t_off = max(t_off, qrs_off)
+        fid[i] = (p_on, qrs_on, qrs_off, t_off)
+    return BeatMap(fs=fs, r_peaks=r_peaks, rr_intervals=rr, fiducials=fid)
 
 
 @dataclass

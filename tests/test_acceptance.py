@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from fwave.beats import detect_r_peaks_energy, segment_fiducials
+from fwave.beats import detect_r_peaks_energy
 from fwave.dataio import EcgRecording, write_recording
 from fwave.extract import METHODS, beat_matrix, extract
 from fwave.pipeline import PipelineConfig, run_pipeline
@@ -20,6 +20,8 @@ from fwave.preprocess import compute_bsqi, prefilter
 from fwave.spectral import estimate_daf, vote_daf, welch_psd
 from fwave.evaluate import auroc_rank
 from fwave.synth import SynthConfig, generate
+
+from extract_reference import segment_fiducials
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 

@@ -8,9 +8,8 @@ from fwave.beats import (
     detect_r_peaks_energy,
     detect_r_peaks_matched,
     matched_mask,
-    segment_fiducials,
 )
-from fwave.errors import ExtractionError, SignalTooShortError
+from fwave.errors import SignalTooShortError
 from fwave.pipeline import PipelineConfig, _process_window
 from fwave.preprocess import compute_bsqi, prefilter
 
@@ -132,51 +131,3 @@ class TestMatchDetections:
         a = np.array([1000, 1010])
         b = np.array([1005])
         assert matched_mask(a, b, TOL).tolist() == [True, False]
-
-
-class TestFiducials:
-    def test_fixed_offsets_at_fs200(self):
-        bm = segment_fiducials(np.zeros(3000), 200.0, [1000, 1200, 1400])
-        p_on, qrs_on, qrs_off, t_off = bm.fiducials[0]
-        assert (p_on, qrs_on, qrs_off, t_off) == (940, 990, 1020, 1090)
-
-    def test_short_rr_binds_t_off(self):
-        # RR_next = 0.5 s -> t_off = R + 0.35 s (the 0.7*RR rule binds)
-        bm = segment_fiducials(np.zeros(3000), 200.0, [1000, 1100, 1200])
-        assert bm.fiducials[0][3] == 1000 + int(0.7 * 0.5 * 200)
-
-    def test_first_beat_clipped_to_zero(self):
-        bm = segment_fiducials(np.zeros(3000), 200.0, [10, 210, 410])
-        assert bm.fiducials[0][0] == 0
-
-    def test_last_beat_uses_median_rr(self):
-        bm = segment_fiducials(np.zeros(3000), 200.0, [400, 600, 800])
-        # median RR = 1.0 s, so the 450 ms cap binds for the last beat
-        assert bm.fiducials[-1][3] == 800 + int(min(0.45, 0.7 * 1.0) * 200)
-
-    def test_never_reaches_next_qrs_onset(self, af_record, af_record_filtered):
-        fs = af_record.fs
-        det = detect_r_peaks_energy(af_record_filtered, fs)
-        bm = segment_fiducials(af_record_filtered, fs, det)
-        for i in range(len(det) - 1):
-            assert bm.fiducials[i][3] <= bm.fiducials[i + 1][1]
-
-    def test_windows_inside_signal(self, sinus_clean, sinus_clean_filtered):
-        det = detect_r_peaks_energy(sinus_clean_filtered, sinus_clean.fs)
-        bm = segment_fiducials(sinus_clean_filtered, sinus_clean.fs, det)
-        assert np.all(bm.fiducials >= 0)
-        assert np.all(bm.fiducials < len(sinus_clean_filtered))
-
-    def test_rr_intervals(self):
-        bm = segment_fiducials(np.zeros(3000), 200.0, [400, 600, 900])
-        np.testing.assert_allclose(bm.rr_intervals, [1.0, 1.5])
-
-    def test_needs_two_peaks(self):
-        with pytest.raises(ExtractionError):
-            segment_fiducials(np.zeros(3000), 200.0, [500])
-
-    def test_json_roundtrip_shape(self):
-        bm = segment_fiducials(np.zeros(3000), 200.0, [400, 600, 900])
-        d = bm.to_json_dict()
-        assert d["fs"] == 200.0
-        assert len(d["fiducials"]) == 3 and len(d["fiducials"][0]) == 4

@@ -172,6 +172,12 @@ class TestStagedComposition:
             beats = json.load(open(os.path.join(out_b, "beats", f"{wid}.json")))
             assert np.all(np.diff(beats["r_peaks"]) > 0), wid
             assert len(beats["fiducials"]) == len(beats["r_peaks"]), wid
+            # the rows are the beats' cuts: ordered, disjoint and inside the window
+            fid = np.array(beats["fiducials"])
+            n = len(load_recording(os.path.join(out_b, "residuals", f"{wid}__TS_B.fwk")).samples)
+            assert np.all(np.diff(fid, axis=1) >= 0), wid
+            assert np.all(fid[:-1, 3] <= fid[1:, 0]), wid
+            assert fid[0, 0] >= 0 and fid[-1, 3] <= n, wid
 
 
 class TestFiducials:
@@ -517,6 +523,10 @@ BAD_VALUES = [
     ("synth", {"fs": 0}, "synth.fs"),
     ("synth", {"n_af": -1}, "synth.n_af"),
     ("synth", {"n_af": 0, "n_sinus": 0}, "synth.n_sinus"),
+    ("filter", {"notch_freq": 0}, "filter.notch_freq"),
+    ("filter", {"notch_freq": -60}, "filter.notch_freq"),
+    ("filter", {"notch_q": 0}, "filter.notch_q"),
+    ("filter", {"notch_q": -1}, "filter.notch_q"),
 ]
 
 
@@ -532,6 +542,10 @@ class TestExitCodes:
     def test_bad_value_fails_construction(self, key, value, needle):
         with pytest.raises(ConfigError, match=re.escape(needle)):
             PipelineConfig(**{key: value})
+
+    def test_disabled_notch_is_not_checked(self):
+        cfg = PipelineConfig(filter={"notch_q": 0, "notch_enabled": False})
+        assert cfg.filter.notch_q == 0
 
     @pytest.mark.parametrize("key, value, needle", [
         ("welch_seg_s", 0.02, "welch_seg_s"),  # no Welch bin in the DAF band

@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fwave.pipeline
-from fwave.beats import detect_r_peaks_energy, segment_fiducials
+from fwave.beats import detect_r_peaks_energy
 from fwave.errors import ExtractionError
 from fwave.extract import (
     METHODS,
     beat_matrix,
     extract,
+    segment_fiducials,
     ts_basic,
     ts_pca,
     ts_scaled,
@@ -23,7 +24,7 @@ from fwave.spectral import estimate_daf, welch_psd
 from fwave.synth import SynthConfig, generate
 
 from conftest import gauss_train
-from extract_reference import REFERENCE
+from extract_reference import REFERENCE, segment_fiducials as reference_fiducials
 
 FS = 200.0
 QRST = ((-0.1, -0.04, 0.012), (1.0, 0.0, 0.016), (-0.5, 0.055, 0.02), (0.4, 0.22, 0.07))
@@ -329,14 +330,14 @@ def _outcome(fn):
 class TestMatchesReference:
     """Every extractor on the shared beat matrix gives exactly what the
     per-extractor stacking gave before it (``extract_reference``). The
-    oracle cuts TS_SU's QRS at the fiducial table's qrs_on and qrs_off;
-    ``beat_matrix`` cuts it at fixed offsets from R."""
+    oracle cuts TS_SU's QRS at the old fiducial table's qrs_on and
+    qrs_off; ``segment_fiducials`` cuts it at fixed offsets from R."""
 
     @given(_windows())
     @settings(max_examples=300, deadline=None)
     def test_same_outputs_and_errors(self, case):
         fs, x, r, min_beats = case
-        beats = segment_fiducials(x, fs, r)
+        beats = reference_fiducials(x, fs, r)
         for method in METHODS:
             want = _outcome(lambda: REFERENCE[method](x, beats, min_beats=min_beats))
             got = _outcome(lambda: extract(method, beat_matrix(x, fs, r, min_beats)))
@@ -348,6 +349,51 @@ class TestMatchesReference:
             assert np.array_equal(got.per_beat_gains, want.per_beat_gains), method
             assert got.flags == want.flags, method
             assert got.beats_used == want.beats_used, method
+
+
+class TestFiducials:
+    def test_fixed_offsets_at_fs200(self):
+        # span R - 300 ms to R + 450 ms, cut where the next beat's span
+        # starts; QRS R - 50 ms to R + 100 ms
+        bm = beat_matrix(np.zeros(3000), 200.0, [1000, 1100, 1200], min_beats=1)
+        assert segment_fiducials(bm).tolist() == [
+            [940, 990, 1020, 1040],
+            [1040, 1090, 1120, 1140],
+            [1140, 1190, 1220, 1291],
+        ]
+
+    def test_windows_inside_signal(self, sinus_clean, sinus_clean_filtered):
+        det = detect_r_peaks_energy(sinus_clean_filtered, sinus_clean.fs)
+        fid = segment_fiducials(beat_matrix(sinus_clean_filtered, sinus_clean.fs, det))
+        assert np.all(fid >= 0)
+        assert np.all(fid <= len(sinus_clean_filtered))
+
+    def test_never_reaches_next_span(self, af_record, af_record_filtered):
+        fs = af_record.fs
+        det = detect_r_peaks_energy(af_record_filtered, fs)
+        fid = segment_fiducials(beat_matrix(af_record_filtered, fs, det))
+        assert np.all(fid[:-1, 3] <= fid[1:, 0])
+
+    @given(_windows())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_are_the_cuts_every_extractor_used(self, case):
+        fs, x, r, min_beats = case
+        bm = _outcome(lambda: beat_matrix(x, fs, r, min_beats))
+        if isinstance(bm, str):
+            return
+        fid = segment_fiducials(bm)
+        assert fid.shape == (len(bm.r_peaks), 4)
+        assert np.all(np.diff(fid, axis=1) >= 0)
+        assert np.all(fid[:, 0] < fid[:, 3])
+        assert np.all(fid[:-1, 3] <= fid[1:, 0])
+        assert fid[0, 0] >= 0 and fid[-1, 3] <= len(x)
+        spans = [tuple(row) for row in fid[:, [0, 3]].tolist()]
+        for method in METHODS:
+            got = _outcome(lambda: extract(method, bm))
+            if isinstance(got, str):  # TS_CE refuses a flat template
+                continue
+            assert got.spans == spans, method
+            assert got.beats_used == len(fid), method
 
 
 class TestOneBeatMatrixPerWindow:
