@@ -25,11 +25,13 @@ def _odd(w: int) -> int:
 
 
 def moving_average(x, w):
-    """Centered mean over ``w`` samples; the window shrinks at the edges."""
-    kernel = np.ones(w, dtype=np.float64)
-    sums = np.convolve(x, kernel, mode="same")
-    counts = np.convolve(np.ones(len(x)), kernel, mode="same")
-    return sums / counts
+    """Centered mean over an odd ``w`` samples; the window shrinks at the
+    edges, so sample ``i`` of ``n`` averages ``min(i, h) + min(n - 1 - i,
+    h) + 1`` samples, ``h = w // 2``."""
+    n, h = len(x), w // 2
+    sums = np.convolve(x, np.ones(w, dtype=np.float64))[h : h + n]
+    i = np.arange(n)
+    return sums / (np.minimum(i, h) + np.minimum(n - 1 - i, h) + 1)
 
 
 def adaptive_scan(feat, min_dist, init_len, searchback):

@@ -200,6 +200,10 @@ class PipelineConfig:
                                   f"{span:g} s windows set by {key}")
         if not 0 <= self.welch_overlap < 1:
             raise ConfigError("welch_overlap must lie in [0, 1)")
+        if self.synth is not None:
+            # the synth records' rate is known: refuse a spectrum with no DAF bin now
+            spectral.welch_grid(self.synth["fs"], self.welch_seg_s, self.welch_overlap,
+                                band=spectral.DAF_BAND)
         for key in ("rf_n_trees", "rf_max_depth", "workers", "min_beats"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1")
@@ -491,8 +495,8 @@ def stage_daf(cfg: PipelineConfig) -> FeatureTable:
                 os.makedirs(spec_dir, exist_ok=True)
                 with open(os.path.join(spec_dir, f"{wid}__{method}.csv"), "w") as fh:
                     fh.write("freq_hz,power\n")
-                    for f, p in zip(ps.freqs, ps.power):
-                        fh.write(f"{f:.6f},{p:.9g}\n")
+                    fh.write("%.6f,%.9g\n" * len(ps.freqs)
+                             % tuple(np.column_stack((ps.freqs, ps.power)).ravel().tolist()))
         if label == "AF":
             spectra_dumped = True
     table.to_csv(_path(cfg, "daf.csv"))

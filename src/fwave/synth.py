@@ -112,17 +112,23 @@ def _beat_times(cfg: SynthConfig, rng: np.random.Generator) -> np.ndarray:
 
 
 def _place_bumps(t_grid, beat_times, bumps, beat_scales=None):
+    """Sum of Gaussian bumps, each cut at 6 widths and placed on every beat.
+
+    One pass per bump over all beats. ``np.add.at`` adds in index order,
+    which is beat order, so where bumps of adjacent beats overlap they
+    add up in the order a loop over beats would add them.
+    """
     y = np.zeros_like(t_grid)
-    if beat_scales is None:
-        beat_scales = np.ones(len(beat_times))
+    scales = np.ones(len(beat_times)) if beat_scales is None else np.asarray(beat_scales)
     for amp, center, width in bumps:
-        for bt, scale in zip(beat_times, beat_scales):
-            c = bt + center
-            lo = np.searchsorted(t_grid, c - 6 * width)
-            hi = np.searchsorted(t_grid, c + 6 * width)
-            if hi > lo:
-                seg = t_grid[lo:hi] - c
-                y[lo:hi] += scale * amp * np.exp(-0.5 * (seg / width) ** 2)
+        c = beat_times + center
+        lo = np.searchsorted(t_grid, c - 6 * width)
+        counts = np.maximum(np.searchsorted(t_grid, c + 6 * width) - lo, 0)
+        beat = np.repeat(np.arange(len(c)), counts)
+        # each beat's samples lo, lo + 1, ..., laid end to end in beat order
+        idx = np.arange(counts.sum()) + (lo - np.cumsum(counts) + counts)[beat]
+        seg = t_grid[idx] - c[beat]
+        np.add.at(y, idx, (scales * amp)[beat] * np.exp(-0.5 * (seg / width) ** 2))
     return y
 
 

@@ -562,6 +562,19 @@ class TestExitCodes:
         assert main(["run", "--config", cfg]) == 2
         _one_line_error(capsys, needle)
 
+    @pytest.mark.parametrize("seg_s", [
+        0.02,  # 12.5 Hz bins: none in the DAF band
+        0.001,  # segments of zero samples
+    ])
+    def test_welch_grid_of_a_synth_run_fails_construction(self, tmp_path, capsys, seg_s):
+        # the synth block fixes fs, so the grid is checked before any stage runs
+        synth = {"n_af": 3, "n_sinus": 3, "duration_s": 30.0}
+        with pytest.raises(ConfigError, match="welch_seg_s"):
+            PipelineConfig(out_dir=str(tmp_path / "out"), synth=synth, welch_seg_s=seg_s)
+        assert main(["run", "--config", _config(tmp_path, synth=synth, welch_seg_s=seg_s)]) == 2
+        _one_line_error(capsys, "welch_seg_s")
+        assert not (tmp_path / "out").exists()
+
     def test_reversed_f0_flags_are_2(self, tmp_path, capsys):
         argv = ["synth", "--out", str(tmp_path / "o"), "--f0-min", "11", "--f0-max", "4"]
         assert main(argv) == 2
@@ -736,6 +749,12 @@ class TestColdStart:
         out = str(tmp_path / "o")
         assert self._fresh("eval", "--features", str(feat), "--out", out) == ["0", "False", "False"]
         assert os.path.exists(os.path.join(out, "metrics.json"))
+
+    def test_refused_welch_grid_never_loads_scipy_signal(self, tmp_path):
+        # a synth block fixes fs, so the grid is checked in plain numpy
+        cfg = _config(tmp_path, welch_seg_s=0.02,
+                      synth={"n_af": 5, "n_sinus": 5, "duration_s": 12.0})
+        assert self._fresh("run", "--config", cfg) == ["2", "False", "False"]
 
     def test_run_loads_scipy_signal_on_first_filter(self, tmp_path):
         cfg = _config(tmp_path, window_s=12.0, synth={"n_af": 5, "n_sinus": 5, "duration_s": 12.0})

@@ -1,7 +1,8 @@
 """The detector's sample-level kernels in ``fwave.beats``.
 
 ``_moving_average_loop`` is the running-sum moving average written out
-sample by sample; it is the oracle for the convolution in
+sample by sample, and ``_moving_average_convolved`` counts each
+window's members with a second convolution; they are the oracles for
 ``beats.moving_average``. ``_adaptive_scan_loop`` is the adaptive
 threshold scan written out sample by sample; it is the oracle for the
 event-driven ``beats.adaptive_scan``.
@@ -39,6 +40,13 @@ def _moving_average_loop(x, w):
             acc -= x[old]
             cnt -= 1
     return out
+
+
+def _moving_average_convolved(x, w):
+    kernel = np.ones(w, dtype=np.float64)
+    sums = np.convolve(x, kernel, mode="same")
+    counts = np.convolve(np.ones(len(x)), kernel, mode="same")
+    return sums / counts
 
 
 def _adaptive_scan_loop(feat, min_dist, init_len, searchback):
@@ -100,6 +108,21 @@ def test_moving_average_paths_agree():
         a = _moving_average_loop(x, w)
         b = beats.moving_average(x, w)
         np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(half=st.integers(0, 60), extra=st.integers(0, 2000), seed=st.integers(0, 2**32 - 1))
+def test_moving_average_equals_convolved_counts(half, extra, seed):
+    rng = np.random.default_rng(seed)
+    w = 2 * half + 1
+    x = rng.standard_normal(w + extra) * 10.0 ** int(rng.integers(-4, 5))
+    assert np.array_equal(beats.moving_average(x, w), _moving_average_convolved(x, w))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_moving_average_shorter_than_window(n):
+    x = np.arange(1.0, n + 1.0)
+    np.testing.assert_allclose(beats.moving_average(x, 5), _moving_average_loop(x, 5))
 
 
 def test_moving_average_constant_preserved():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.signal
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fwave.errors import ConfigError, SignalTooShortError, VotingError
@@ -56,6 +57,11 @@ class TestWelch:
         with pytest.raises(SignalTooShortError):
             welch_psd(np.zeros(100), FS, seg_s=10)
 
+    def test_nfft_shorter_than_a_segment_raises(self):
+        # an FFT of fewer points than a segment would drop the segment's tail
+        with pytest.raises(ConfigError, match="nfft=1999"):
+            welch_psd(_tone(6.0), FS, seg_s=10, nfft=1999)
+
     def test_doubling_nfft_moves_peak_at_most_one_bin(self):
         x = _tone(6.37)
         ps1 = welch_psd(x, FS)
@@ -64,6 +70,39 @@ class TestWelch:
         d1 = estimate_daf(ps1)
         d2 = estimate_daf(ps2)
         assert abs(d1 - d2) <= ps1.resolution + 1e-12
+
+
+class TestWelchEqualsScipy:
+    """``welch_psd`` takes every segment's FFT in one call;
+    ``scipy.signal.welch`` loops over the segments. The bits agree."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        fs=st.sampled_from([128.0, 200.0, 250.0, 360.0, 500.0]),
+        nperseg=st.integers(3, 1500),  # from 3 samples on, overlap 0.75 leaves a hop
+        extra=st.integers(0, 6000),
+        overlap=st.floats(0.0, 0.75),
+        nfft_extra=st.none() | st.integers(0, 700),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(fs=200.0, nperseg=2000, extra=0, overlap=0.5, nfft_extra=None, seed=0)  # one segment
+    @example(fs=250.0, nperseg=625, extra=3001, overlap=0.0, nfft_extra=None, seed=1)  # odd nperseg
+    @example(fs=360.0, nperseg=900, extra=2500, overlap=0.75, nfft_extra=101, seed=2)  # odd nfft
+    @example(fs=128.0, nperseg=640, extra=1111, overlap=0.3, nfft_extra=384, seed=3)  # even nfft
+    def test_bit_identical_to_scipy_welch(self, fs, nperseg, extra, overlap, nfft_extra, seed):
+        rng = np.random.default_rng(seed)
+        x = np.cumsum(rng.standard_normal(nperseg + extra)) * 10.0 ** int(rng.integers(-3, 3))
+        noverlap = int(round(overlap * nperseg))
+        nfft = None if nfft_extra is None else nperseg + nfft_extra
+        ps = welch_psd(x, fs, seg_s=nperseg / fs, overlap=overlap, nfft=nfft)
+        freqs, power = scipy.signal.welch(
+            x, fs=fs, window="hamming", nperseg=nperseg, noverlap=noverlap,
+            nfft=nfft or 1 << int(np.ceil(np.log2(4 * nperseg))),
+            detrend=False, scaling="density",
+        )
+        assert np.array_equal(ps.freqs, freqs)
+        assert np.array_equal(ps.power, power)
+        assert ps.resolution == freqs[1] - freqs[0]
 
 
 class TestEstimateDaf:

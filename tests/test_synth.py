@@ -1,8 +1,35 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fwave.errors import ConfigError
-from fwave.synth import R_AMPLITUDE_MV, SynthConfig, SynthTruth, generate, generate_corpus
+from fwave.synth import (
+    _P_BUMP,
+    _QRST_BUMPS,
+    R_AMPLITUDE_MV,
+    SynthConfig,
+    SynthTruth,
+    _place_bumps,
+    generate,
+    generate_corpus,
+)
+
+
+def _place_bumps_loop(t_grid, beat_times, bumps, beat_scales=None):
+    """The oracle: ``synth._place_bumps`` as a loop over bumps and beats."""
+    y = np.zeros_like(t_grid)
+    if beat_scales is None:
+        beat_scales = np.ones(len(beat_times))
+    for amp, center, width in bumps:
+        for bt, scale in zip(beat_times, beat_scales):
+            c = bt + center
+            lo = np.searchsorted(t_grid, c - 6 * width)
+            hi = np.searchsorted(t_grid, c + 6 * width)
+            if hi > lo:
+                seg = t_grid[lo:hi] - c
+                y[lo:hi] += scale * amp * np.exp(-0.5 * (seg / width) ** 2)
+    return y
 
 
 def _af_cfg(**kw):
@@ -74,6 +101,37 @@ class TestGenerate:
         truth = generate(_af_cfg(duration_s=30.0, fs=250.0))
         assert len(truth.ecg) == 7500
         assert truth.fs == 250.0
+
+
+class TestPlaceBumps:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        fs=st.sampled_from([128.0, 200.0, 250.0, 500.0]),
+        duration_s=st.floats(0.5, 6.0),
+        # the first beat may sit a second before the record, the last past
+        # its end; RRs from 0.1 s let the 0.9 s T waves of adjacent beats overlap
+        first=st.floats(-1.5, 1.0),
+        rrs=st.lists(st.floats(0.1, 1.5), max_size=12),
+        with_p=st.booleans(),
+        scaled=st.booleans(),
+        snap=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_bytes_as_the_beat_loop(self, fs, duration_s, first, rrs, with_p, scaled,
+                                         snap, seed):
+        t_grid = np.arange(int(round(duration_s * fs))) / fs
+        beat_times = first + np.cumsum([0.0, *rrs])
+        if snap:  # as generate() places them
+            beat_times = np.round(beat_times * fs) / fs
+        bumps = [*_QRST_BUMPS, _P_BUMP] if with_p else list(_QRST_BUMPS)
+        scales = (np.exp(0.3 * np.random.default_rng(seed).standard_normal(len(beat_times)))
+                  if scaled else None)
+        got = _place_bumps(t_grid, beat_times, bumps, scales)
+        assert got.tobytes() == _place_bumps_loop(t_grid, beat_times, bumps, scales).tobytes()
+
+    def test_no_beats_gives_zeros(self):
+        t_grid = np.arange(400) / 200.0
+        assert np.array_equal(_place_bumps(t_grid, np.empty(0), _QRST_BUMPS), np.zeros(400))
 
 
 class TestConfigValidation:
