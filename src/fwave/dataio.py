@@ -171,8 +171,7 @@ def write_recording(rec: EcgRecording, path, fmt="csv") -> None:
             fh.write(f"# record_id={rec.record_id}\n")
             fh.write(f"# fs={rec.fs}\n")
             fh.write(f"# lead={rec.lead_name}\n")
-            for v in rec.samples:
-                fh.write(f"{v:.9g}\n")
+            fh.write("%.9g\n" * len(rec.samples) % tuple(rec.samples.tolist()))
     elif fmt == "binary":
         header = json.dumps(
             {"record_id": rec.record_id, "fs": rec.fs, "lead": rec.lead_name,

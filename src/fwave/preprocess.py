@@ -2,12 +2,17 @@
 
 Bandpass (default 0.67-100 Hz, upper edge clamped below Nyquist) and a
 power-line notch, both applied forward-backward for zero net phase.
+The filter designs are scipy.signal's (``butter(1, ...)`` and
+``iirnotch``) computed in numpy, bit for bit; the recursion is one
+banded triangular solve in LAPACK, which ``scipy.linalg`` loads at the
+first filter, so no fwave module loads ``scipy.signal``.
 Quality is gated per segment with bSQI, the agreement ratio between two
 independent beat detectors. The energy detections that bSQI is computed
 from are the window's R peaks: ``compute_bsqi`` returns them with the
 report, so nothing downstream runs a detector again.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +45,86 @@ class QualityReport:
         return bool(self.pass_mask) and all(self.pass_mask)
 
 
+def _poly(roots):
+    """Monic polynomial of ``roots``, real when they pair up in conjugates
+    (scipy.signal's ``poly``: one ``np.convolve`` per root)."""
+    c = np.ones(1, dtype=roots.dtype)
+    for r in roots:
+        c = np.convolve(c, np.stack((np.ones_like(r), -r)))
+    if np.iscomplexobj(c) and np.all(np.sort(roots.imag) == np.sort(np.conj(roots).imag)):
+        c = c.real.copy()
+    return c
+
+
+def butter1(wn, fs):
+    """First-order Butterworth ``(b, a)``: a lowpass at ``wn`` Hz, or a
+    bandpass when ``wn`` is ``(low, high)``. Equals ``scipy.signal.butter(1,
+    wn, btype, fs=fs)`` bit for bit by taking its steps: the analog
+    prototype, ``lp2lp_zpk`` or ``lp2bp_zpk`` at prewarped edges,
+    ``bilinear_zpk`` at fs = 2 and the product of the roots."""
+    edges = np.asarray(wn, dtype=np.float64)
+    wn = edges / (float(fs) / 2)
+    if not np.all((wn > 0) & (wn < 1)):
+        raise ConfigError(f"filter edges {edges} Hz must lie in (0, {fs / 2}) at fs={fs}")
+    warped = 2 * 2.0 * np.tan(np.pi * wn / 2.0)
+    p = -np.exp(1j * np.pi * np.zeros(1) / 2)  # buttap(1): one pole at -1
+    if wn.ndim == 0:
+        wo = float(warped)
+        z, p, k = np.zeros(0), wo * p, wo
+    else:
+        bw, wo = float(warped[1] - warped[0]), float(np.sqrt(warped[0] * warped[1]))
+        p = p * bw / 2
+        z = np.zeros(1, dtype=np.complex128)
+        p, k = np.concatenate((p + np.sqrt(p**2 - wo**2), p - np.sqrt(p**2 - wo**2))), bw
+    # bilinear transform; the zero at infinity goes to Nyquist
+    z_z = np.concatenate(((4.0 + z) / (4.0 - z), -np.ones(len(p) - len(z))))
+    k = k * np.real(np.prod(4.0 - z) / np.prod(4.0 - p))
+    return k * _poly(z_z), _poly((4.0 + p) / (4.0 - p))
+
+
+def iirnotch(f0, q, fs):
+    """Second-order notch ``(b, a)`` at ``f0`` Hz with quality ``q``:
+    ``scipy.signal.iirnotch``'s closed form, bit for bit."""
+    w0 = 2 * float(f0) / float(fs)
+    bw = w0 / float(q) * math.pi
+    w0 = w0 * math.pi
+    gain = 1.0 / (1.0 + math.tan(bw / 2.0))
+    b = gain * np.array([1.0, -2.0 * math.cos(w0), 1.0])
+    return b, np.array([1.0, -2.0 * gain * math.cos(w0), 2.0 * gain - 1.0])
+
+
+def lfilter(b, a, x, zi=None):
+    """``scipy.signal.lfilter(b, a, x, zi=zi)``'s output, to rounding.
+
+    The recursion ``sum_k a[k] y[n-k] = sum_k b[k] x[n-k]`` (plus the
+    initial state ``zi`` on the first samples) is a unit lower-triangular
+    banded system in ``y``; LAPACK's ``dtbtrs`` solves it in one call.
+    """
+    b, a = np.asarray(b, dtype=np.float64) / a[0], np.asarray(a, dtype=np.float64) / a[0]
+    v = np.convolve(x, b)[:len(x)]
+    if zi is not None:
+        v[:len(zi)] += zi[:len(x)]
+    band = np.empty((len(a), len(x)), order="F")  # LAPACK's band storage: a in every column
+    for k, ak in enumerate(a):
+        band[k] = ak
+    return scipy.linalg.lapack.dtbtrs(band, v, uplo="L", diag="U")[0]
+
+
+def filtfilt(b, a, x, padlen):
+    """``scipy.signal.filtfilt(b, a, x, padtype="even", padlen=padlen)``,
+    to rounding: the same even extension, steady-state initial state and
+    forward-backward order, through ``lfilter``. Needs ``padlen < len(x)``."""
+    ext = np.concatenate((x[padlen:0:-1], x, x[-2:-(padlen + 2):-1]))
+    # lfilter_zi: the state in which a unit step is at steady state
+    b, a = np.asarray(b, dtype=np.float64) / a[0], np.asarray(a, dtype=np.float64) / a[0]
+    companion = np.eye(len(a) - 1, k=-1)
+    companion[0] = -a[1:]
+    zi = np.linalg.solve(np.eye(len(a) - 1) - companion.T, b[1:] - a[1:] * b[0])
+    y = lfilter(b, a, ext, zi * ext[0])
+    y = lfilter(b, a, y[::-1], zi * y[-1])[::-1]
+    return y[padlen:len(y) - padlen]
+
+
 def bandpass_zero_phase(x, fs: float, spec: FilterSpec | None = None) -> np.ndarray:
     """Forward-backward second-order bandpass; output length = input length."""
     spec = spec or FilterSpec()
@@ -50,7 +135,7 @@ def bandpass_zero_phase(x, fs: float, spec: FilterSpec | None = None) -> np.ndar
         raise ConfigError(f"infeasible passband [{lo}, {hi}] Hz at fs={fs}")
     if fs <= 2 * lo:
         raise ConfigError(f"fs={fs} too low for band_low={lo}")
-    b, a = scipy.signal.butter(1, [lo, hi], btype="bandpass", fs=fs)
+    b, a = butter1([lo, hi], fs)
     order = max(len(a), len(b)) - 1
     if len(x) <= 6 * order:
         raise SignalTooShortError(
@@ -58,7 +143,7 @@ def bandpass_zero_phase(x, fs: float, spec: FilterSpec | None = None) -> np.ndar
         )
     # reflect-pad roughly 3x the slowest pole's settle time
     padlen = min(len(x) - 1, int(round(3.0 * fs / lo)))
-    return scipy.signal.filtfilt(b, a, x, padtype="even", padlen=padlen)
+    return filtfilt(b, a, x, padlen)
 
 
 def check_notch(spec: FilterSpec) -> None:
@@ -77,11 +162,11 @@ def notch_zero_phase(x, fs: float, spec: FilterSpec | None = None) -> np.ndarray
             f"notch at {spec.notch_freq} Hz infeasible for fs={fs} (Nyquist {fs / 2})"
         )
     check_notch(spec)
-    b, a = scipy.signal.iirnotch(spec.notch_freq, spec.notch_q, fs=fs)
+    b, a = iirnotch(spec.notch_freq, spec.notch_q, fs)
     if len(x) <= 12:
         raise SignalTooShortError(f"signal of {len(x)} samples too short for notch")
     padlen = min(len(x) - 1, int(round(3.0 * fs * spec.notch_q / spec.notch_freq)))
-    return scipy.signal.filtfilt(b, a, x, padtype="even", padlen=padlen)
+    return filtfilt(b, a, x, padlen)
 
 
 def prefilter(x, fs: float, spec: FilterSpec | None = None) -> np.ndarray:

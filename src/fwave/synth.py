@@ -10,9 +10,9 @@ schedule.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy
 
 from .errors import ConfigError
+from .preprocess import butter1, lfilter
 
 # Gaussian bump morphology: (amplitude mV, center offset s from R, width s)
 _P_BUMP = (0.15, -0.20, 0.025)
@@ -153,11 +153,14 @@ def _artifact(cfg: SynthConfig, n: int, rng) -> np.ndarray:
     """Low-frequency artifact: white noise through a one-pole 1 Hz lowpass.
 
     Gives a spectrum flat below ~1 Hz and falling as 1/f^2 above, the
-    usual shape of motion/respiration baseline disturbance.
+    usual shape of motion/respiration baseline disturbance. The filter
+    is ``scipy.signal.butter(1, 1.0, fs=fs)`` (``preprocess.butter1``),
+    run by ``preprocess.lfilter``, which matches ``scipy.signal.lfilter``
+    to rounding.
     """
     white = rng.standard_normal(n + 2000)
-    b, a = scipy.signal.butter(1, 1.0, btype="low", fs=cfg.fs)
-    colored = scipy.signal.lfilter(b, a, white)[2000:]
+    b, a = butter1(1.0, cfg.fs)
+    colored = lfilter(b, a, white)[2000:]
     rms = np.sqrt(np.mean(colored**2))
     if rms == 0:
         return np.zeros(n)

@@ -33,6 +33,33 @@ def _write_csv(path, samples, fs=200.0, record_id="rec1", lead="V1"):
             fh.write(f"{v}\n")
 
 
+
+def _write_csv_loop(rec, path):
+    """``write_recording(fmt="csv")`` as it was: one write per sample."""
+    with open(path, "w") as fh:
+        fh.write(f"# record_id={rec.record_id}\n")
+        fh.write(f"# fs={rec.fs}\n")
+        fh.write(f"# lead={rec.lead_name}\n")
+        for v in rec.samples:
+            fh.write(f"{v:.9g}\n")
+
+
+class TestCsvWriter:
+    """All samples are formatted in one operation; the bytes are those
+    of the loop that wrote one sample at a time."""
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+        [0.0, -0.0, 5e-324, 1e-7, 123456789.0, 1234567891.0, -1.5e300]), min_size=1, max_size=300),
+        st.sampled_from([200.0, 250, 128.5]))
+    @settings(max_examples=200, deadline=None)
+    def test_same_bytes_as_the_sample_loop(self, tmp_path_factory, values, fs):
+        d = tmp_path_factory.mktemp("csv")
+        rec = EcgRecording(np.array(values), fs, "II", "r1")
+        write_recording(rec, d / "new.csv", fmt="csv")
+        _write_csv_loop(rec, d / "old.csv")
+        assert (d / "new.csv").read_bytes() == (d / "old.csv").read_bytes()
+
+
 class TestCsvFormat:
     def test_loads_60s_recording(self, tmp_path):
         p = tmp_path / "r.csv"

@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
+import scipy.signal
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fwave.preprocess
+from fwave import synth
 from fwave.errors import ConfigError, SignalTooShortError
 from fwave.preprocess import (
     FilterSpec,
     bandpass_zero_phase,
+    butter1,
     compute_bsqi,
+    filtfilt,
+    iirnotch,
+    lfilter,
     notch_zero_phase,
     prefilter,
 )
@@ -114,6 +120,143 @@ class TestNotch:
             prefilter(x, FS, FilterSpec(**{key: value}))
         y = prefilter(x, FS, FilterSpec(**{key: value, "notch_enabled": False}))
         assert np.array_equal(y, prefilter(x, FS, FilterSpec(notch_enabled=False)))
+
+
+def _same(ours, theirs):
+    return ours.dtype == theirs.dtype and ours.shape == theirs.shape \
+        and ours.tobytes() == theirs.tobytes()
+
+
+# a frequency strictly inside (0, fs/2), as a fraction of Nyquist
+_INSIDE = st.floats(1e-4, 0.9999)
+_FS = st.one_of(st.sampled_from([100.0, 128.0, 200.0, 250.0, 360.0, 500.0]),
+                st.floats(1.0, 5000.0))
+
+
+class TestFilterDesignsEqualScipy:
+    """The numpy designs are scipy.signal's bit for bit."""
+
+    @given(_FS, _INSIDE, _INSIDE)
+    @example(200.0, 0.67 / 100, 0.9)  # the default band at 200 Hz
+    @example(500.0, 0.67 / 250, 0.4)  # ... at 500 Hz
+    @settings(max_examples=500, deadline=None)
+    def test_bandpass(self, fs, u, v):
+        lo, hi = sorted((u * fs / 2, v * fs / 2))
+        if not lo < hi:
+            return
+        b, a = butter1([lo, hi], fs)
+        ref_b, ref_a = scipy.signal.butter(1, [lo, hi], btype="bandpass", fs=fs)
+        assert _same(b, ref_b) and _same(a, ref_a)
+
+    @given(_FS, _INSIDE)
+    @example(200.0, 0.01)  # the synth artifact's 1 Hz lowpass
+    @settings(max_examples=500, deadline=None)
+    def test_lowpass(self, fs, u):
+        b, a = butter1(u * fs / 2, fs)
+        ref_b, ref_a = scipy.signal.butter(1, u * fs / 2, btype="low", fs=fs)
+        assert _same(b, ref_b) and _same(a, ref_a)
+
+    @given(_FS, _INSIDE, st.floats(0.01, 1000.0))
+    @example(200.0, 0.6, 30.0)  # the default 60 Hz notch
+    @settings(max_examples=500, deadline=None)
+    def test_notch(self, fs, u, q):
+        b, a = iirnotch(u * fs / 2, q, fs)
+        ref_b, ref_a = scipy.signal.iirnotch(u * fs / 2, q, fs=fs)
+        assert _same(b, ref_b) and _same(a, ref_a)
+
+    @pytest.mark.parametrize("wn", [0.0, 100.0, 120.0, [0.0, 50.0], [10.0, 100.0],
+                                    float("nan"), [float("nan"), 50.0]])
+    def test_edge_outside_nyquist_is_a_config_error(self, wn):
+        with pytest.raises(ConfigError, match="must lie in"):
+            butter1(wn, 200.0)
+
+    def test_synth_too_slow_for_the_artifact_lowpass(self):
+        cfg = synth.SynthConfig(fs=2.0, duration_s=20.0, rhythm="sinus", artifact_rms_mv=0.2)
+        with pytest.raises(ConfigError, match="must lie in"):
+            synth.generate(cfg)
+
+
+@st.composite
+def _stable_filter(draw):
+    """(b, a) of order 1 or 2 with poles inside radius 0.995, a[0] != 0."""
+    if draw(st.booleans()):
+        poles = [draw(st.floats(-0.995, 0.995))]
+    elif draw(st.booleans()):
+        poles = [draw(st.floats(-0.995, 0.995)), draw(st.floats(-0.995, 0.995))]
+    else:
+        r, theta = draw(st.floats(0.0, 0.995)), draw(st.floats(0.0, np.pi))
+        poles = [r * np.exp(1j * theta), r * np.exp(-1j * theta)]
+    scale = draw(st.sampled_from([1.0, 0.5, 3.0, -2.0]))
+    a = scale * np.real(np.poly(poles))
+    b = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=len(a), max_size=len(a))))
+    return b, a
+
+
+class TestRecursionMatchesScipy:
+    """lfilter and filtfilt agree with scipy.signal's to 1e-12 relative."""
+
+    @staticmethod
+    def _close(ours, theirs):
+        assert ours.shape == theirs.shape
+        assert np.max(np.abs(ours - theirs)) <= 1e-12 * np.max(np.abs(theirs))
+
+    @given(_stable_filter(), st.integers(1, 3000), st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_lfilter(self, ba, n, with_zi, seed):
+        b, a = ba
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(n)
+        if with_zi:
+            zi = rng.standard_normal(len(a) - 1)
+            self._close(lfilter(b, a, x, zi), scipy.signal.lfilter(b, a, x, zi=zi)[0])
+        else:
+            self._close(lfilter(b, a, x), scipy.signal.lfilter(b, a, x))
+
+    @given(_stable_filter(), st.integers(2, 3000), st.sampled_from(["one", "max", "between"]),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_filtfilt(self, ba, n, pad, seed):
+        b, a = ba
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(n)
+        padlen = {"one": 1, "max": n - 1, "between": int(rng.integers(1, n))}[pad]
+        ref = scipy.signal.filtfilt(b, a, x, padtype="even", padlen=padlen)
+        self._close(filtfilt(b, a, x, padlen), ref)
+
+
+class TestErrorPaths:
+    """The errors of the zero-phase filters, type and text, in order."""
+
+    @pytest.mark.parametrize("fn, n, fs, spec, error, text", [
+        (bandpass_zero_phase, 1000, FS, FilterSpec(band_low=0.0), ConfigError,
+         "infeasible passband [0.0, 90.0] Hz at fs=200.0"),
+        (bandpass_zero_phase, 1000, FS, FilterSpec(band_low=95.0), ConfigError,
+         "infeasible passband [95.0, 90.0] Hz at fs=200.0"),
+        (bandpass_zero_phase, 1000, 1.0, FilterSpec(), ConfigError,
+         "infeasible passband [0.67, 0.45] Hz at fs=1.0"),
+        (bandpass_zero_phase, 3, FS, FilterSpec(band_low=0.0), ConfigError,
+         "infeasible passband [0.0, 90.0] Hz at fs=200.0"),
+        (bandpass_zero_phase, 12, FS, FilterSpec(), SignalTooShortError,
+         "signal of 12 samples too short for bandpass (need > 12)"),
+        (notch_zero_phase, 4000, 100.0, FilterSpec(), ConfigError,
+         "notch at 60.0 Hz infeasible for fs=100.0 (Nyquist 50.0)"),
+        (notch_zero_phase, 4000, FS, FilterSpec(notch_freq=-60.0), ConfigError,
+         "filter.notch_freq must be positive, not -60.0"),
+        (notch_zero_phase, 4000, FS, FilterSpec(notch_q=0.0), ConfigError,
+         "filter.notch_q must be positive, not 0.0"),
+        (notch_zero_phase, 5, FS, FilterSpec(notch_q=0.0), ConfigError,
+         "filter.notch_q must be positive, not 0.0"),
+        (notch_zero_phase, 12, FS, FilterSpec(), SignalTooShortError,
+         "signal of 12 samples too short for notch"),
+    ])
+    def test_error_and_text(self, fn, n, fs, spec, error, text):
+        with pytest.raises(error) as info:
+            fn(np.ones(n), fs, spec)
+        assert type(info.value) is error and str(info.value) == text
+
+    def test_shortest_signals_that_filter(self):
+        assert len(bandpass_zero_phase(np.ones(13), FS)) == 13
+        assert len(notch_zero_phase(np.ones(13), FS)) == 13
 
 
 def _one_segment_bsqi(det_a, det_b, n=60000):

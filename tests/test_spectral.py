@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from fwave.errors import ConfigError, SignalTooShortError, VotingError
 from fwave.evaluate import FeatureTable
 from fwave.pipeline import PipelineConfig, stage_eval
-from fwave.spectral import PowerSpectrum, estimate_daf, vote_daf, welch_psd
+from fwave.spectral import PowerSpectrum, _window_and_freqs, estimate_daf, vote_daf, welch_psd
 
 FS = 200.0
 
@@ -103,6 +103,30 @@ class TestWelchEqualsScipy:
         assert np.array_equal(ps.freqs, freqs)
         assert np.array_equal(ps.power, power)
         assert ps.resolution == freqs[1] - freqs[0]
+
+
+class TestWelchWindowEqualsScipy:
+    """The numpy window and grid are ``ShortTimeFFT``'s bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        nperseg=st.integers(1, 5000),
+        hop=st.floats(0.0, 1.0),
+        fs=st.sampled_from([128.0, 200.0, 250.0, 360.0, 500.0])
+        | st.floats(1.0, 5000.0) | st.integers(1, 5000),
+        nfft_extra=st.integers(0, 6000),
+    )
+    @example(nperseg=2000, hop=0.5, fs=200.0, nfft_extra=6192)  # the default grid at 200 Hz
+    @example(nperseg=1, hop=1.0, fs=200.0, nfft_extra=3)  # a one-sample window is all ones
+    def test_window_and_grid(self, nperseg, hop, fs, nfft_extra):
+        nfft = nperseg + nfft_extra
+        win, freqs = _window_and_freqs(nperseg, fs, nfft)
+        stft = scipy.signal.ShortTimeFFT(
+            scipy.signal.get_window("hamming", nperseg), max(1, int(hop * nperseg)), fs,
+            fft_mode="onesided", mfft=nfft, scale_to="psd",
+        )
+        for ours, theirs in ((win, stft.win), (freqs, stft.f)):
+            assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
 
 
 class TestEstimateDaf:
