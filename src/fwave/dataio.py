@@ -12,6 +12,7 @@ Formats:
     "label": "AF"|"non-AF"}``.
 """
 
+import io
 import json
 import os
 import struct
@@ -65,41 +66,44 @@ class RhythmAnnotation:
 
 
 def load_recording(path, fmt=None) -> EcgRecording:
-    """Load a recording; format inferred from the file magic unless given."""
+    """Load a recording; format inferred from the file magic unless given.
+    The file is opened once: the magic is sniffed on the handle that
+    reads it."""
     path = str(path)
-    if fmt is None:
-        with open(path, "rb") as fh:
+    if fmt not in (None, "csv", "binary"):
+        raise FormatError(f"unknown recording format {fmt!r}")
+    with open(path, "rb") as fh:
+        if fmt is None:
             fmt = "binary" if fh.read(4) == BINARY_MAGIC else "csv"
-    if fmt == "csv":
-        return _load_csv(path)
-    if fmt == "binary":
-        return _load_binary(path)
-    raise FormatError(f"unknown recording format {fmt!r}")
+            fh.seek(0)
+        if fmt == "csv":
+            return _load_csv(io.TextIOWrapper(fh, encoding="utf-8"), path)
+        return _load_binary(fh, path)
 
 
-def _load_csv(path) -> EcgRecording:
+def _load_csv(text, path) -> EcgRecording:
+    """Read the CSV format from the text stream ``text`` of ``path``."""
     meta = {}
     values = []
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    body = line.lstrip("#").strip()
-                    if "=" not in body:
-                        raise FormatError(f"{path}:{lineno}: malformed header line {line!r}")
-                    key, val = body.split("=", 1)
-                    meta[key.strip()] = val.strip()
-                    continue
-                try:
-                    v = float(line)
-                except ValueError:
-                    raise FormatError(f"{path}:{lineno}: not a number: {line!r}") from None
-                if not np.isfinite(v):
-                    raise FormatError(f"{path}:{lineno}: non-finite sample {line!r}")
-                values.append(v)
+        for lineno, line in enumerate(text, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                body = line.lstrip("#").strip()
+                if "=" not in body:
+                    raise FormatError(f"{path}:{lineno}: malformed header line {line!r}")
+                key, val = body.split("=", 1)
+                meta[key.strip()] = val.strip()
+                continue
+            try:
+                v = float(line)
+            except ValueError:
+                raise FormatError(f"{path}:{lineno}: not a number: {line!r}") from None
+            if not np.isfinite(v):
+                raise FormatError(f"{path}:{lineno}: non-finite sample {line!r}")
+            values.append(v)
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text: {exc}") from None
     if "fs" not in meta:
@@ -120,42 +124,43 @@ def _load_csv(path) -> EcgRecording:
     )
 
 
-def _load_binary(path) -> EcgRecording:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != BINARY_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r} (offset 0)")
-        raw = fh.read(4)
-        if len(raw) != 4:
-            raise FormatError(f"{path}: truncated header length (offset 4)")
-        (hlen,) = struct.unpack("<I", raw)
-        # sizes are checked before reading so a corrupt length cannot force a huge read
-        size = os.fstat(fh.fileno()).st_size
-        if hlen > size - 8:
-            raise FormatError(f"{path}: header length {hlen} exceeds the file (offset 4)")
-        try:
-            header = json.loads(fh.read(hlen).decode("utf-8"))
-        except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, huge ints
-            raise FormatError(f"{path}: bad JSON header: {exc}") from None
-        if not isinstance(header, dict):
-            raise FormatError(f"{path}: JSON header is not an object")
-        for key in ("record_id", "fs", "lead", "n"):
-            if key not in header:
-                raise FormatError(f"{path}: header missing key {key!r}")
-        n = header["n"]
-        if type(n) is not int or n < 0:
-            raise FormatError(f"{path}: header n must be a non-negative integer, got {n!r}")
-        try:
-            fs = float(header["fs"])
-        except (TypeError, ValueError, OverflowError):
-            raise FormatError(f"{path}: header fs is not a number: {header['fs']!r}") from None
-        dtype = header.get("dtype", LEGACY_DTYPE)
-        if dtype not in (BINARY_DTYPE, LEGACY_DTYPE):
-            raise FormatError(f"{path}: unknown sample dtype {dtype!r}")
-        available = (size - fh.tell()) // np.dtype(dtype).itemsize
-        if available < n:
-            raise FormatError(f"{path}: expected {n} samples, found {available}")
-        data = np.fromfile(fh, dtype=dtype, count=n)
+def _load_binary(fh, path) -> EcgRecording:
+    """Read the binary format from the binary stream ``fh`` of ``path``,
+    at its start."""
+    magic = fh.read(4)
+    if magic != BINARY_MAGIC:
+        raise FormatError(f"{path}: bad magic {magic!r} (offset 0)")
+    raw = fh.read(4)
+    if len(raw) != 4:
+        raise FormatError(f"{path}: truncated header length (offset 4)")
+    (hlen,) = struct.unpack("<I", raw)
+    # sizes are checked before reading so a corrupt length cannot force a huge read
+    size = os.fstat(fh.fileno()).st_size
+    if hlen > size - 8:
+        raise FormatError(f"{path}: header length {hlen} exceeds the file (offset 4)")
+    try:
+        header = json.loads(fh.read(hlen).decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, huge ints
+        raise FormatError(f"{path}: bad JSON header: {exc}") from None
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: JSON header is not an object")
+    for key in ("record_id", "fs", "lead", "n"):
+        if key not in header:
+            raise FormatError(f"{path}: header missing key {key!r}")
+    n = header["n"]
+    if type(n) is not int or n < 0:
+        raise FormatError(f"{path}: header n must be a non-negative integer, got {n!r}")
+    try:
+        fs = float(header["fs"])
+    except (TypeError, ValueError, OverflowError):
+        raise FormatError(f"{path}: header fs is not a number: {header['fs']!r}") from None
+    dtype = header.get("dtype", LEGACY_DTYPE)
+    if dtype not in (BINARY_DTYPE, LEGACY_DTYPE):
+        raise FormatError(f"{path}: unknown sample dtype {dtype!r}")
+    available = (size - fh.tell()) // np.dtype(dtype).itemsize
+    if available < n:
+        raise FormatError(f"{path}: expected {n} samples, found {available}")
+    data = np.fromfile(fh, dtype=dtype, count=n)
     return EcgRecording(
         samples=data,
         fs=fs,

@@ -13,6 +13,11 @@ their average: the trained forest is a sorted array of breakpoints with
 one AF probability per interval, and prediction is one
 ``searchsorted``. AUROC uses the rank statistic (Mann-Whitney), ties
 counting 0.5.
+
+The bootstrap indices depend only on the seed, the tree count and the
+number of training rows, so ``bootstrap_draws`` draws them once and
+``train_rf`` takes them: one evaluation draws once for the forests of
+all methods and the vote, which share these three.
 """
 
 import csv
@@ -198,7 +203,18 @@ def stratified_split(table: FeatureTable, train_frac: float = 0.8, rng_seed: int
 
 # --- random forest on a single scalar feature ------------------------------
 
-def _bootstrap_counts(x, y, n_trees, rng_seed):
+def bootstrap_draws(n_rows, n_trees, rng_seed):
+    """The ``(n_trees, n_rows)`` bootstrap row indices of a forest: tree
+    t draws ``n_rows`` indices from its own generator, the t-th child of
+    ``SeedSequence(rng_seed)``. Held in the smallest unsigned dtype that
+    fits, since one evaluation keeps them for all its forests."""
+    draws = np.empty((n_trees, n_rows), dtype=np.min_scalar_type(max(n_rows - 1, 0)))
+    for t, seq in enumerate(np.random.SeedSequence(rng_seed).spawn(n_trees)):
+        draws[t] = np.random.default_rng(seq).integers(0, n_rows, size=n_rows)
+    return draws
+
+
+def _bootstrap_counts(x, y, draws):
     """Every tree's bootstrap sample as counts per distinct value.
 
     Returns the values each tree drew, sorted within the tree and
@@ -211,9 +227,8 @@ def _bootstrap_counts(x, y, n_trees, rng_seed):
     m = len(uniq)
     # one bin per (tree, value, label): bin 2 * (t * m + value) + label
     row_bin = 2 * code + y
-    keys = np.empty((n_trees, len(x)), dtype=np.int64)
-    for t, seq in enumerate(np.random.SeedSequence(rng_seed).spawn(n_trees)):
-        keys[t] = row_bin[np.random.default_rng(seq).integers(0, len(x), size=len(x))]
+    n_trees = len(draws)
+    keys = row_bin[draws]
     keys += np.arange(0, 2 * m * n_trees, 2 * m)[:, None]
     bins = np.bincount(keys.ravel(), minlength=2 * m * n_trees)
     del keys
@@ -342,30 +357,33 @@ def _grow_forest(values, cum_rows, cum_af, tree_start, max_depth):
 def train_rf(
     table: FeatureTable,
     method: str,
-    n_trees: int = 100,
+    draws: np.ndarray,
     max_depth: int = 4,
-    rng_seed: int = 0,
 ) -> RandomForestModel:
     """Bootstrap-sampled threshold trees over the scalar DAF feature,
-    averaged into one step function. A feature with a single value
-    predicts the training AF fraction."""
+    averaged into one step function; ``draws`` holds each tree's
+    bootstrap row indices (``bootstrap_draws`` of the method's training
+    row count). A feature with a single value predicts the training AF
+    fraction."""
     x, y, _ = table.select(method=method, split="train")
     if len(x) == 0:
         raise ConfigError(f"no training rows for method {method!r}")
+    if draws.shape[1] != len(x):
+        raise ValueError(f"draws for {draws.shape[1]} rows, method {method!r} has {len(x)}")
     if len(np.unique(x)) == 1:
         return RandomForestModel(np.empty(0), np.array([np.mean(y)]), method, len(x))
     thresholds, leaves, thr_cut, leaf_cut = _grow_forest(
-        *_bootstrap_counts(x, y, n_trees, rng_seed), max_depth
+        *_bootstrap_counts(x, y, draws), max_depth
     )
     breaks = np.unique(thresholds)
     # every tree is constant between breaks: take its leaf at each
     # break and above the last, adding the trees in order
     points = np.append(breaks, np.inf)
     total = np.zeros(len(points))
-    for t in range(n_trees):
+    for t in range(len(draws)):
         thr = thresholds[thr_cut[t]:thr_cut[t + 1]]
         total += leaves[leaf_cut[t]:leaf_cut[t + 1]][np.searchsorted(thr, points)]
-    return RandomForestModel(breaks, total / n_trees, method, len(x))
+    return RandomForestModel(breaks, total / len(draws), method, len(x))
 
 
 def predict_proba(model: RandomForestModel, x) -> np.ndarray:

@@ -27,6 +27,8 @@ run. A run that yields zero usable windows raises NoUsableWindowsError
 (CLI exit code 3).
 """
 
+import collections
+import functools
 import inspect
 import json
 import math
@@ -55,6 +57,7 @@ from .errors import (
 from .evaluate import (
     LABELS,
     FeatureTable,
+    bootstrap_draws,
     evaluate_model,
     rank_methods,
     stratified_split,
@@ -532,12 +535,13 @@ def stage_eval(cfg: PipelineConfig, table: FeatureTable | None = None) -> dict:
         raise ConfigError(
             "feature table contains none of the configured extractor methods"
         )
+    # every forest draws its bootstraps from the seed, the tree count and
+    # its train-row count alone: draw once per count, for this call only
+    draws = functools.cache(lambda n: bootstrap_draws(n, cfg.rf_n_trees, cfg.seed))
+    n_train = collections.Counter(m for m, s in zip(table.methods, table.split) if s == "train")
     metrics = {}
     for method in methods:
-        model = train_rf(
-            table, method, n_trees=cfg.rf_n_trees,
-            max_depth=cfg.rf_max_depth, rng_seed=cfg.seed,
-        )
+        model = train_rf(table, method, draws(n_train[method]), max_depth=cfg.rf_max_depth)
         metrics[method] = evaluate_model(model, table)
 
     ranking = rank_methods(metrics) if len(metrics) >= 2 else list(metrics)
@@ -559,18 +563,22 @@ def stage_eval(cfg: PipelineConfig, table: FeatureTable | None = None) -> dict:
             if m in dafs:
                 raise VotingError(f"window {wid}: duplicate estimate for method {m}")
             dafs[m] = d
-        for wid in sorted(per_window):
-            lab, spl, dafs = per_window[wid]
+        wids = sorted(per_window)
+        for wid in wids:
             try:
-                vote = spectral.vote_daf(dafs, voting_set)
+                spectral.require_dafs(per_window[wid][2], voting_set)
             except VotingError as exc:
                 raise VotingError(f"window {wid}: {exc}") from None
+        # every window's vote from one np.median over (voting set x windows)
+        votes = spectral.vote_daf(
+            {m: [per_window[wid][2][m] for wid in wids] for m in voting_set}, voting_set
+        )
+        for wid, vote in zip(wids, votes.tolist()):
+            lab, spl, _ = per_window[wid]
             vote_table.append(wid, "vote", vote, lab, spl)
+        n_train["vote"] = sum(per_window[wid][1] == "train" for wid in wids)
 
-    vote_model = train_rf(
-        vote_table, "vote", n_trees=cfg.rf_n_trees,
-        max_depth=cfg.rf_max_depth, rng_seed=cfg.seed,
-    )
+    vote_model = train_rf(vote_table, "vote", draws(n_train["vote"]), max_depth=cfg.rf_max_depth)
     metrics["vote"] = evaluate_model(vote_model, vote_table)
 
     os.makedirs(cfg.out_dir, exist_ok=True)

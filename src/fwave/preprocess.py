@@ -101,27 +101,42 @@ def lfilter(b, a, x, zi=None):
     banded system in ``y``; LAPACK's ``dtbtrs`` solves it in one call.
     """
     b, a = np.asarray(b, dtype=np.float64) / a[0], np.asarray(a, dtype=np.float64) / a[0]
+    return _solve(b, _band(a, len(x)), x, zi)
+
+
+def _band(a, n):
+    """The recursion's matrix over ``n`` samples in LAPACK's band
+    storage: ``a`` (normalised, ``a[0] == 1``) in every column."""
+    band = np.empty((len(a), n), order="F")
+    for k, ak in enumerate(a):
+        band[k] = ak
+    return band
+
+
+def _solve(b, band, x, zi):
+    """``lfilter`` of normalised ``b`` over ``x``, the recursion given as
+    ``_band`` of ``len(x)`` samples."""
     v = np.convolve(x, b)[:len(x)]
     if zi is not None:
         v[:len(zi)] += zi[:len(x)]
-    band = np.empty((len(a), len(x)), order="F")  # LAPACK's band storage: a in every column
-    for k, ak in enumerate(a):
-        band[k] = ak
     return scipy.linalg.lapack.dtbtrs(band, v, uplo="L", diag="U")[0]
 
 
 def filtfilt(b, a, x, padlen):
     """``scipy.signal.filtfilt(b, a, x, padtype="even", padlen=padlen)``,
     to rounding: the same even extension, steady-state initial state and
-    forward-backward order, through ``lfilter``. Needs ``padlen < len(x)``."""
+    forward-backward order, through ``lfilter``'s solve. Both passes run
+    over the same length, so they share one band matrix. Needs
+    ``padlen < len(x)``."""
     ext = np.concatenate((x[padlen:0:-1], x, x[-2:-(padlen + 2):-1]))
     # lfilter_zi: the state in which a unit step is at steady state
     b, a = np.asarray(b, dtype=np.float64) / a[0], np.asarray(a, dtype=np.float64) / a[0]
     companion = np.eye(len(a) - 1, k=-1)
     companion[0] = -a[1:]
     zi = np.linalg.solve(np.eye(len(a) - 1) - companion.T, b[1:] - a[1:] * b[0])
-    y = lfilter(b, a, ext, zi * ext[0])
-    y = lfilter(b, a, y[::-1], zi * y[-1])[::-1]
+    band = _band(a, len(ext))
+    y = _solve(b, band, ext, zi * ext[0])
+    y = _solve(b, band, y[::-1], zi * y[-1])[::-1]
     return y[padlen:len(y) - padlen]
 
 

@@ -126,13 +126,22 @@ def estimate_daf(
     return float(ps.freqs[mask][np.argmax(ps.power[mask])])
 
 
-def vote_daf(dafs, methods=("TS_B", "TS_CE", "TS_SU")) -> float:
+def vote_daf(dafs, methods=("TS_B", "TS_CE", "TS_SU")):
     """Median of the selected methods' DAFs; ``dafs`` maps method to Hz.
 
-    Every method in ``methods`` must have a DAF; other methods are
-    ignored. An even count yields the mean of the two middle values.
+    A value may also be a sequence with one DAF per window, the same
+    length for every method: the vote is then an array of one median per
+    window, all taken in one ``np.median`` call. Every method in
+    ``methods`` must have a DAF; other methods are ignored. An even count
+    yields the mean of the two middle values.
     """
+    require_dafs(dafs, methods)
+    vote = np.median(np.array([dafs[m] for m in methods], dtype=np.float64), axis=0)
+    return float(vote) if vote.ndim == 0 else vote
+
+
+def require_dafs(dafs, methods):
+    """VotingError naming the methods of ``methods`` that ``dafs`` lacks."""
     missing = [m for m in methods if m not in dafs]
     if missing:
         raise VotingError(f"missing DAF estimate for method(s): {', '.join(missing)}")
-    return float(np.median([dafs[m] for m in methods]))

@@ -11,6 +11,7 @@ from fwave.evaluate import (
     FeatureTable,
     RandomForestModel,
     auroc_rank,
+    bootstrap_draws,
     evaluate_model,
     predict_proba,
     rank_methods,
@@ -86,6 +87,30 @@ def _train_rf_reference(table, method, n_trees=100, max_depth=4, rng_seed=0):
 def _assert_same_forest(model, reference):
     assert model.breaks.tobytes() == reference.breaks.tobytes()
     assert model.probs.tobytes() == reference.probs.tobytes()
+
+
+def _train(table, method, n_trees=100, max_depth=4, rng_seed=0):
+    """train_rf with the bootstraps of the method's training rows drawn
+    from ``rng_seed``, as stage_eval draws them."""
+    n = len(table.select(method=method, split="train")[0])
+    return train_rf(table, method, bootstrap_draws(n, n_trees, rng_seed), max_depth)
+
+
+def _bootstrap_keys_loop(row_bin, x, n_trees, rng_seed):
+    """The per-tree draw loop _bootstrap_counts ran before bootstrap_draws,
+    verbatim: each tree's bootstrap sample of ``row_bin``."""
+    keys = np.empty((n_trees, len(x)), dtype=np.int64)
+    for t, seq in enumerate(np.random.SeedSequence(rng_seed).spawn(n_trees)):
+        keys[t] = row_bin[np.random.default_rng(seq).integers(0, len(x), size=len(x))]
+    return keys
+
+
+def _reference_trainer(rng_seed):
+    """_train_rf_reference in train_rf's place in stage_eval: every call
+    draws its own bootstraps from ``rng_seed``, tree by tree."""
+    def train(table, method, draws, max_depth):
+        return _train_rf_reference(table, method, len(draws), max_depth, rng_seed)
+    return train
 
 
 def _train_table(x, y):
@@ -301,7 +326,7 @@ class TestRandomForest:
         rng = np.random.default_rng(1)
         t = _table(rng.uniform(5.5, 7.5, 50), rng.uniform(9, 11, 50))
         t = stratified_split(t, rng_seed=0)
-        model = train_rf(t, "vote", rng_seed=0)
+        model = _train(t, "vote", rng_seed=0)
         m = evaluate_model(model, t)
         assert m.auroc == pytest.approx(1.0)
         assert m.f1 == pytest.approx(1.0)
@@ -317,14 +342,14 @@ class TestRandomForest:
             for i, (d, lab) in enumerate(zip(daf, labs)):
                 t.append(f"w{i:03d}", "vote", d, lab)
             t = stratified_split(t, rng_seed=seed)
-            model = train_rf(t, "vote", rng_seed=seed)
+            model = _train(t, "vote", rng_seed=seed)
             aurocs.append(evaluate_model(model, t).auroc)
         assert abs(np.mean(aurocs) - 0.5) < 0.1
 
     def test_degenerate_feature_predicts_prior(self):
         t = _table([6.0] * 20, [6.0] * 20)
         t = stratified_split(t, rng_seed=0)
-        model = train_rf(t, "vote", rng_seed=0)
+        model = _train(t, "vote", rng_seed=0)
         x = np.array([4.0, 6.0, np.nextafter(6.0, 7.0), 12.0])
         assert np.array_equal(predict_proba(model, x), np.full(4, 0.5))  # 16 of 32 train AF
         m = evaluate_model(model, t)
@@ -335,15 +360,15 @@ class TestRandomForest:
         t = _table(rng.uniform(5, 9, 40), rng.uniform(7, 11, 40))
         t = stratified_split(t, rng_seed=5)
         x_test, _, _ = t.select(method="vote", split="test")
-        p1 = predict_proba(train_rf(t, "vote", rng_seed=5), x_test)
-        p2 = predict_proba(train_rf(t, "vote", rng_seed=5), x_test)
+        p1 = predict_proba(_train(t, "vote", rng_seed=5), x_test)
+        p2 = predict_proba(_train(t, "vote", rng_seed=5), x_test)
         assert np.array_equal(p1, p2)
 
     def test_missing_method_rejected(self):
         t = _table([6.0] * 10, [10.0] * 10)
         t = stratified_split(t, rng_seed=0)
         with pytest.raises(ConfigError, match="TS_PCA"):
-            train_rf(t, "TS_PCA")
+            _train(t, "TS_PCA")
 
     @given(_tree_inputs(), st.integers(1, 60), st.integers(0, 2**32 - 1))
     # two root thresholds score equal up to rounding here: the first must
@@ -354,7 +379,7 @@ class TestRandomForest:
     def test_grow_tree_matches_reference(self, case, n_trees, seed):
         x, y, max_depth = case
         t = _train_table(x, y)
-        _assert_same_forest(train_rf(t, "vote", n_trees, max_depth, seed),
+        _assert_same_forest(_train(t, "vote", n_trees, max_depth, seed),
                             _train_rf_reference(t, "vote", n_trees, max_depth, seed))
         if _no_ulp_pair(x):  # the one case the masking reference gets wrong
             assert _grow_tree(x, y, 0, max_depth) == _steps(
@@ -368,7 +393,7 @@ class TestRandomForest:
         y = np.array([1, 0, 1, 0])
         assert _grow_tree(x, y, 0, 4) == ([lo], [0.0, 1.0])
         t = _train_table(x, y)
-        model = train_rf(t, "vote", n_trees=20, rng_seed=0)
+        model = _train(t, "vote", n_trees=20, rng_seed=0)
         _assert_same_forest(model, _train_rf_reference(t, "vote", n_trees=20, rng_seed=0))
         assert model.breaks.tolist() == [lo]
         assert not np.isnan(model.probs).any()
@@ -388,7 +413,7 @@ class TestRandomForest:
 
         monkeypatch.setattr(fwave.evaluate, "_sequential_best", counted)
         t = _train_table(x, y)
-        model = train_rf(t, "vote", n_trees=5, max_depth=1, rng_seed=2)
+        model = _train(t, "vote", n_trees=5, max_depth=1, rng_seed=2)
         assert all(pick == _scan_in_order(scores) for scores, pick in replays)
         assert any(pick != np.argmin(scores) for scores, pick in replays)
         _assert_same_forest(model, _train_rf_reference(t, "vote", 5, 1, 2))
@@ -411,7 +436,7 @@ class TestRandomForest:
         rng = np.random.default_rng(6)
         t = _table(rng.uniform(5, 9, 40), rng.uniform(7, 11, 40))
         t = stratified_split(t, rng_seed=2)
-        model = train_rf(t, "vote", rng_seed=2)
+        model = _train(t, "vote", rng_seed=2)
         trees = _reference_forest(t, "vote", rng_seed=2)
         thresholds = [thr for tree in trees for thr in _steps(tree)[0]]
         # values on a threshold take the left branch
@@ -423,7 +448,7 @@ class TestRandomForest:
     def test_predict_proba_is_the_reference_forest(self, case, n_trees, seed, data):
         x, y, max_depth = case
         t = _train_table(x, y)
-        model = train_rf(t, "vote", n_trees=n_trees, max_depth=max_depth, rng_seed=seed)
+        model = _train(t, "vote", n_trees=n_trees, max_depth=max_depth, rng_seed=seed)
         _assert_same_forest(model, _train_rf_reference(t, "vote", n_trees, max_depth, seed))
         q = np.array(data.draw(st.lists(st.floats(3.0, 13.0), max_size=50)), dtype=np.float64)
         q = np.concatenate([q, model.breaks, np.nextafter(model.breaks, -np.inf),
@@ -441,10 +466,70 @@ class TestRandomForest:
     def test_stage_eval_bytes_match_reference_forest(self, tmp_path, monkeypatch):
         table = _eval_table(seed=4)
         stage_eval(PipelineConfig(out_dir=str(tmp_path / "new"), seed=4), table=table)
-        monkeypatch.setattr(fwave.pipeline, "train_rf", _train_rf_reference)
+        monkeypatch.setattr(fwave.pipeline, "train_rf", _reference_trainer(4))
         stage_eval(PipelineConfig(out_dir=str(tmp_path / "ref"), seed=4), table=table)
         for name in ("features.csv", "metrics.json", "report.txt"):
             assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes(), name
+
+    def test_stage_eval_with_a_shorter_method_matches_reference(self, tmp_path, monkeypatch):
+        # TS_PCA, outside the voting set, loses a third of its training
+        # rows: its forest needs draws of its own row count
+        table = stratified_split(_eval_table(seed=9), rng_seed=9)
+        keep = [i for i, (_, m, _, _, s) in enumerate(table.rows())
+                if not (m == "TS_PCA" and s == "train" and i % 3 == 0)]
+        table = FeatureTable(*([col[i] for i in keep] for col in (
+            table.window_ids, table.methods, table.daf_hz, table.labels, table.split)))
+        counts = {m: len(table.select(method=m, split="train")[0]) for m in ("TS_B", "TS_PCA")}
+        assert counts["TS_PCA"] < counts["TS_B"]
+        calls = []
+        monkeypatch.setattr(fwave.pipeline, "bootstrap_draws",
+                            lambda *args: calls.append(args) or bootstrap_draws(*args))
+        voting = ("TS_B", "TS_CE", "TS_SU")
+        stage_eval(PipelineConfig(out_dir=str(tmp_path / "new"), seed=9, voting_set=voting),
+                   table=table)
+        assert sorted(calls) == sorted((n, 100, 9) for n in set(counts.values()))
+        monkeypatch.setattr(fwave.pipeline, "train_rf", _reference_trainer(9))
+        stage_eval(PipelineConfig(out_dir=str(tmp_path / "ref"), seed=9, voting_set=voting),
+                   table=table)
+        for name in ("features.csv", "metrics.json", "report.txt"):
+            assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes(), name
+
+    def test_one_draw_and_five_forests_per_evaluation(self, tmp_path, monkeypatch):
+        draws, forests = [], []
+        monkeypatch.setattr(fwave.pipeline, "bootstrap_draws",
+                            lambda *args: draws.append(args) or bootstrap_draws(*args))
+        monkeypatch.setattr(fwave.pipeline, "train_rf",
+                            lambda *args, **kw: forests.append(args[1]) or train_rf(*args, **kw))
+        table = _eval_table(seed=4)
+        for rep in range(2):  # a second evaluation draws again
+            stage_eval(PipelineConfig(out_dir=str(tmp_path / f"o{rep}"), seed=4), table=table)
+            assert len(draws) == rep + 1
+            assert forests[5 * rep:] == ["TS_B", "TS_CE", "TS_SU", "TS_PCA", "vote"]
+        assert draws == [(160, 100, 4)] * 2
+
+
+class TestBootstrapDraws:
+    @given(st.integers(0, 600), st.integers(0, 40), st.integers(0, 2**32 - 1))
+    @example(255, 3, 0)
+    @example(256, 3, 0)
+    @example(257, 3, 7)
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_per_tree_loop(self, n, n_trees, seed):
+        draws = bootstrap_draws(n, n_trees, seed)
+        assert draws.shape == (n_trees, n)
+        rows = np.arange(n)
+        assert np.array_equal(draws, _bootstrap_keys_loop(rows, rows, n_trees, seed))
+        row_bin = 2 * rows + rows % 2
+        assert np.array_equal(row_bin[draws], _bootstrap_keys_loop(row_bin, rows, n_trees, seed))
+
+    def test_smallest_dtype(self):
+        assert bootstrap_draws(256, 2, 0).dtype == np.uint8
+        assert bootstrap_draws(257, 2, 0).dtype == np.uint16
+
+    def test_draws_for_other_rows_are_refused(self):
+        t = stratified_split(_table([6.0, 7.0] * 10, [9.0, 10.0] * 10), rng_seed=0)
+        with pytest.raises(ValueError, match="draws for 15 rows"):
+            train_rf(t, "vote", bootstrap_draws(15, 10, 0))
 
 
 class TestAuroc:
@@ -530,7 +615,7 @@ class TestEvaluateModel:
                 (10.8, "non-AF"), (9.4, "non-AF")]
         for i, (d, lab) in enumerate(test):
             t.append(f"te{i}", "vote", d, lab, "test")
-        model = train_rf(t, "vote", rng_seed=0)
+        model = _train(t, "vote", rng_seed=0)
         m = evaluate_model(model, t)
         # tp=2 fn=1 fp=0 -> sens=2/3, ppv=1, f1=0.8
         assert m.sensitivity == pytest.approx(2 / 3)
@@ -542,7 +627,7 @@ class TestEvaluateModel:
         t = _table([6.0] * 10, [10.0] * 10)
         for i in range(len(t)):
             t.split[i] = "train"
-        model = train_rf(t, "vote", rng_seed=0)
+        model = _train(t, "vote", rng_seed=0)
         with pytest.raises(ConfigError, match="test"):
             evaluate_model(model, t)
 

@@ -17,6 +17,7 @@ from fwave.dataio import (
     write_annotations,
     write_recording,
 )
+import fwave.dataio
 from fwave.errors import FormatError
 
 
@@ -184,6 +185,20 @@ class TestBinaryFormat:
         write_recording(rec, pc, fmt="csv")
         assert len(load_recording(pb).samples) == 100
         assert len(load_recording(pc).samples) == 100
+
+    @pytest.mark.parametrize("fmt", ["binary", "csv"])
+    @pytest.mark.parametrize("given_fmt", [False, True])
+    def test_one_open_per_load(self, tmp_path, monkeypatch, fmt, given_fmt):
+        rec = EcgRecording(samples=np.arange(100) / 7, fs=200.0, record_id="r9")
+        p = tmp_path / "r.dat"
+        write_recording(rec, p, fmt=fmt)
+        opens = []
+        monkeypatch.setattr(fwave.dataio, "open",
+                            lambda *args, **kw: opens.append(args) or open(*args, **kw),
+                            raising=False)
+        back = load_recording(p, fmt=fmt if given_fmt else None)
+        assert opens == [(str(p), "rb")]
+        assert back.record_id == "r9" and len(back.samples) == 100
 
     def test_truncated_payload(self, tmp_path):
         rec = EcgRecording(samples=np.ones(100), fs=200.0)

@@ -188,6 +188,34 @@ class TestVoteDaf:
         with pytest.raises(VotingError, match="window w3: duplicate estimate for method TS_B"):
             stage_eval(PipelineConfig(out_dir=str(tmp_path / "o")), table)
 
+    @given(st.integers(1, 4).flatmap(lambda k: st.lists(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([4.0, 6.25, 12.0]),
+                 min_size=k, max_size=k),
+        min_size=1, max_size=40)))
+    @example([[6.0, 7.0], [5.0, 5.0]])
+    @example([[4.0, 6.0, 8.0, 12.0]])
+    @settings(max_examples=300, deadline=None)
+    def test_one_call_equals_the_window_loop(self, windows):
+        # the vote as it was: one np.median call per window
+        methods = ("TS_B", "TS_CE", "TS_SU", "TS_PCA")[:len(windows[0])]
+        loop = [float(np.median([dict(zip(methods, w))[m] for m in methods])) for w in windows]
+        votes = vote_daf({m: [w[i] for w in windows] for i, m in enumerate(methods)}, methods)
+        assert votes.dtype == np.float64
+        assert votes.tobytes() == np.array(loop).tobytes()
+
+    def test_first_window_in_order_named(self, tmp_path):
+        # windows are checked in sorted order, not in row order
+        lacking = {"w05": 2, "w02": 1}  # methods each of these has
+        table = FeatureTable.empty()
+        for i in reversed(range(12)):
+            wid = f"w{i:02d}"
+            for m in ("TS_B", "TS_CE", "TS_SU")[:lacking.get(wid, 3)]:
+                table.append(wid, m, 6.0 + i / 10, "AF" if i % 2 else "non-AF")
+        with pytest.raises(VotingError) as info:
+            stage_eval(PipelineConfig(out_dir=str(tmp_path / "o"),
+                                      voting_set=("TS_B", "TS_CE", "TS_SU")), table)
+        assert str(info.value) == "window w02: missing DAF estimate for method(s): TS_CE, TS_SU"
+
     def test_extra_methods_ignored(self):
         out = vote_daf({"TS_B": 6.0, "TS_CE": 6.0, "TS_SU": 6.0, "TS_PCA": 11.0})
         assert out == pytest.approx(6.0)
