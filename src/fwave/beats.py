@@ -11,6 +11,7 @@ beats are cut around these peaks is declared in ``extract``.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import SignalTooShortError
 
@@ -109,19 +110,19 @@ def _scan(feat, fs: float) -> np.ndarray:
 def _refine(score, raw, half: int, min_dist: int) -> np.ndarray:
     """Snap each candidate to the largest ``score`` within ``half`` samples,
     then keep the stronger of any two refined peaks closer than ``min_dist``."""
-    refined = []
-    for p in raw:
-        lo = max(0, p - half)
-        hi = min(len(score), p + half + 1)
-        refined.append(lo + int(np.argmax(score[lo:hi])))
-    refined = np.array(sorted(set(refined)), dtype=np.int64)
+    raw = np.asarray(raw, dtype=np.int64)
+    # one row per candidate, padded with -inf where the span leaves the signal
+    pad = np.full(half, -np.inf)
+    spans = sliding_window_view(np.concatenate((pad, score, pad)), 2 * half + 1)[raw]
+    refined = np.unique(raw - half + np.argmax(spans, axis=1))
     if len(refined) < 2:
         return refined
+    at, strength = refined.tolist(), score[refined].tolist()
     keep = [0]
-    for i in range(1, len(refined)):
-        if refined[i] - refined[keep[-1]] >= min_dist:
+    for i in range(1, len(at)):
+        if at[i] - at[keep[-1]] >= min_dist:
             keep.append(i)
-        elif score[refined[i]] > score[refined[keep[-1]]]:
+        elif strength[i] > strength[keep[-1]]:
             keep[-1] = i
     return refined[keep]
 
@@ -163,9 +164,10 @@ def detect_r_peaks_matched(x, fs: float, first) -> np.ndarray:
 def matched_mask(det_a, det_b, tol: float) -> np.ndarray:
     """Boolean mask over det_a marking detections matched in det_b within
     ``tol`` samples (greedy, one-to-one, in time order)."""
+    det_b = np.asarray(det_b).tolist()
     mask = np.zeros(len(det_a), dtype=bool)
     j = 0
-    for i, p in enumerate(det_a):
+    for i, p in enumerate(np.asarray(det_a).tolist()):
         while j < len(det_b) and det_b[j] < p - tol:
             j += 1
         if j < len(det_b) and abs(det_b[j] - p) <= tol:

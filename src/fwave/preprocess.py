@@ -3,20 +3,21 @@
 Bandpass (default 0.67-100 Hz, upper edge clamped below Nyquist) and a
 power-line notch, both applied forward-backward for zero net phase.
 The filter designs are scipy.signal's (``butter(1, ...)`` and
-``iirnotch``) computed in numpy, bit for bit; the recursion is one
-banded triangular solve in LAPACK, which ``scipy.linalg`` loads at the
-first filter, so no fwave module loads ``scipy.signal``.
+``iirnotch``) computed in numpy, bit for bit, and the recursion runs
+in blocks of ``_BLOCK`` samples: one matrix product per pass and a
+short loop that carries the filter state from block to block. So the
+filters need numpy alone, and no fwave module loads scipy.
 Quality is gated per segment with bSQI, the agreement ratio between two
 independent beat detectors. The energy detections that bSQI is computed
 from are the window's R peaks: ``compute_bsqi`` returns them with the
 report, so nothing downstream runs a detector again.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .beats import detect_r_peaks_energy, detect_r_peaks_matched, matched_mask
 from .errors import ConfigError, SignalTooShortError
@@ -97,46 +98,114 @@ def lfilter(b, a, x, zi=None):
     """``scipy.signal.lfilter(b, a, x, zi=zi)``'s output, to rounding.
 
     The recursion ``sum_k a[k] y[n-k] = sum_k b[k] x[n-k]`` (plus the
-    initial state ``zi`` on the first samples) is a unit lower-triangular
-    banded system in ``y``; LAPACK's ``dtbtrs`` solves it in one call.
+    initial state ``zi`` on the first samples) runs in blocks of
+    ``_BLOCK`` samples: see ``_solve``.
     """
     b, a = np.asarray(b, dtype=np.float64) / a[0], np.asarray(a, dtype=np.float64) / a[0]
-    return _solve(b, _band(a, len(x)), x, zi)
+    return _solve(b, a, x, zi)
 
 
-def _band(a, n):
-    """The recursion's matrix over ``n`` samples in LAPACK's band
-    storage: ``a`` (normalised, ``a[0] == 1``) in every column."""
-    band = np.empty((len(a), n), order="F")
-    for k, ak in enumerate(a):
-        band[k] = ak
-    return band
+_BLOCK = 256  # samples per block of the filter recursion
+_TINY = 2.0**-960  # forced terms below this run sample by sample
 
 
-def _solve(b, band, x, zi):
-    """``lfilter`` of normalised ``b`` over ``x``, the recursion given as
-    ``_band`` of ``len(x)`` samples."""
-    v = np.convolve(x, b)[:len(x)]
+@functools.lru_cache(maxsize=16)
+def _block_operators(a):
+    """The recursion ``1 / A`` over one block, for a normalised ``a``
+    (a tuple, ``a[0] == 1``, ``p = len(a) - 1 < _BLOCK``): its impulse
+    response; the block's lower-triangular impulse-response matrix,
+    transposed; the ``(_BLOCK, p)`` response of the block to the p
+    outputs before it, newest first; and the ``(p, p)`` rows of that
+    response that give the block's own last p outputs, newest first.
+
+    All are built in ``np.longdouble``; the impulse response and the last
+    one stay in it. Near a double pole, the state that enters a block
+    cancels terms about ``1 / (1 - |pole|)`` times its response, and
+    extended precision (80 bits on x86) keeps that below float64
+    rounding."""
+    p = len(a) - 1
+    a = np.array(a, dtype=np.longdouble)
+    h = [np.longdouble(1.0)]
+    for i in range(1, _BLOCK):
+        h.append(-sum(a[k] * h[i - k] for k in range(1, min(i, p) + 1)))
+    h = np.array(h)
+    lag = np.subtract.outer(np.arange(_BLOCK), np.arange(_BLOCK))
+    impulse = np.where(lag >= 0, h[np.maximum(lag, 0)], 0)
+    # the outputs before the block enter its first p samples as a forcing
+    forcing = np.zeros((p, p), dtype=np.longdouble)
+    for i in range(p):
+        forcing[i, :p - i] = -a[i + 1:]
+    state = impulse[:, :p] @ forcing
+    return h, impulse.T.astype(np.float64), state.astype(np.float64), state[::-1][:p].copy()
+
+
+def _solve(b, a, x, zi):
+    """``lfilter`` of normalised ``b`` and ``a`` over ``x``. The forced
+    term ``convolve(x, b)``, zero-padded to whole blocks, goes through
+    every block's impulse response in one matrix product. The initial
+    state ``zi`` adds its response to the first block, and a loop over
+    blocks carries the p outputs before each block forward; one more
+    product adds their response."""
+    n = len(x)
+    h, impulse_t, state, carry = _block_operators(tuple(a.tolist()))
+    blocks = np.zeros((-(-n // _BLOCK), _BLOCK))
+    v = blocks.reshape(-1)
+    v[:n] = np.convolve(x, b)[:n]
+    size = np.abs(v).max()
     if zi is not None:
-        v[:len(zi)] += zi[:len(x)]
-    return scipy.linalg.lapack.dtbtrs(band, v, uplo="L", diag="U")[0]
+        size = max(size, np.abs(zi).max(initial=0.0))
+    if 0 < size < _TINY:
+        return _sample_by_sample(b, a, x, zi)
+    y = blocks @ impulse_t
+    # the state enters in extended precision: see ``_block_operators``
+    first = y[0].astype(np.longdouble)
+    if zi is not None and len(zi):
+        first += np.convolve(np.asarray(zi, dtype=np.longdouble), h)[:_BLOCK]
+    if len(carry):
+        ends = y[:, ::-1][:, :len(carry)].astype(np.longdouble)
+        ends[0] = first[::-1][:len(carry)]
+        before = np.zeros(ends.shape, dtype=np.longdouble)
+        for j in range(1, len(y)):
+            before[j] = ends[j - 1] + carry @ before[j - 1]
+        y += before.astype(np.float64) @ state.T
+    y[0] = first
+    return y.reshape(-1)[:n]
+
+
+def _sample_by_sample(b, a, x, zi):
+    """``lfilter`` of normalised ``b`` and ``a`` one sample at a time, in
+    ``scipy.signal.lfilter``'s order (direct form II transposed), which it
+    equals bit for bit. For forced terms below ``_TINY``: there the blocked
+    products underflow into subnormals, and their rounding is no longer
+    small next to the output."""
+    p = max(len(a), len(b)) - 1
+    b = b.tolist() + [0.0] * (p + 1 - len(b))
+    a = a.tolist() + [0.0] * (p + 1 - len(a))
+    z = [0.0] * p if zi is None else np.asarray(zi, dtype=np.float64).tolist()
+    y = []
+    for xn in np.asarray(x, dtype=np.float64).tolist():
+        yn = (z[0] if p else 0.0) + b[0] * xn
+        for k in range(p - 1):
+            z[k] = z[k + 1] + xn * b[k + 1] - yn * a[k + 1]
+        if p:
+            z[p - 1] = xn * b[p] - yn * a[p]
+        y.append(yn)
+    return np.array(y)
 
 
 def filtfilt(b, a, x, padlen):
     """``scipy.signal.filtfilt(b, a, x, padtype="even", padlen=padlen)``,
     to rounding: the same even extension, steady-state initial state and
-    forward-backward order, through ``lfilter``'s solve. Both passes run
-    over the same length, so they share one band matrix. Needs
-    ``padlen < len(x)``."""
+    forward-backward order, through ``lfilter``'s blocked recursion.
+    Needs ``padlen < len(x)``."""
     ext = np.concatenate((x[padlen:0:-1], x, x[-2:-(padlen + 2):-1]))
     # lfilter_zi: the state in which a unit step is at steady state
     b, a = np.asarray(b, dtype=np.float64) / a[0], np.asarray(a, dtype=np.float64) / a[0]
     companion = np.eye(len(a) - 1, k=-1)
     companion[0] = -a[1:]
     zi = np.linalg.solve(np.eye(len(a) - 1) - companion.T, b[1:] - a[1:] * b[0])
-    band = _band(a, len(ext))
-    y = _solve(b, band, ext, zi * ext[0])
-    y = _solve(b, band, y[::-1], zi * y[-1])[::-1]
+    y = _solve(b, a, ext, zi * ext[0])
+    y = _solve(b, a, y[::-1], zi * y[-1])[::-1]
     return y[padlen:len(y) - padlen]
 
 

@@ -155,8 +155,8 @@ def _artifact(cfg: SynthConfig, n: int, rng) -> np.ndarray:
     Gives a spectrum flat below ~1 Hz and falling as 1/f^2 above, the
     usual shape of motion/respiration baseline disturbance. The filter
     is ``scipy.signal.butter(1, 1.0, fs=fs)`` (``preprocess.butter1``),
-    run by ``preprocess.lfilter``, which matches ``scipy.signal.lfilter``
-    to rounding.
+    run by ``preprocess.lfilter``'s blocked recursion, which matches
+    ``scipy.signal.lfilter`` to rounding.
     """
     white = rng.standard_normal(n + 2000)
     b, a = butter1(1.0, cfg.fs)

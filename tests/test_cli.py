@@ -721,9 +721,9 @@ class TestColdStart:
     long since loaded ``scipy.signal`` through the shared fixtures."""
 
     SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-    # the filters and the Welch spectrum are numpy plus one LAPACK call,
-    # so no command loads scipy.signal or scipy.fft; scipy.linalg loads
-    # at the first filter, not when the CLI is imported
+    # the filters and the Welch spectrum are numpy alone, so importing
+    # the CLI loads none of scipy.signal, scipy.fft and scipy.linalg, and
+    # no command loads scipy.signal or scipy.fft
     SCRIPT = (
         "import sys\n"
         "from fwave import cli\n"
@@ -732,10 +732,18 @@ class TestColdStart:
         "print(rc, before, any(m in sys.modules for m in ('scipy.signal', 'scipy.fft')))\n"
     )
 
-    def _fresh(self, *argv):
+    # the filters are numpy alone, so no scipy module loads at all
+    NO_SCIPY_SCRIPT = (
+        "import sys\n"
+        "from fwave import cli\n"
+        "rc = cli.main(sys.argv[1:])\n"
+        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy') or None)\n"
+    )
+
+    def _fresh(self, *argv, script=SCRIPT):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [self.SRC, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, *argv], env=env,
+        proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.splitlines()[-1].split()
@@ -765,4 +773,13 @@ class TestColdStart:
         staged = str(tmp_path / "staged")
         for stage in ("synth", "extract", "daf"):
             assert self._fresh(stage, "--config", cfg, "--out", staged) == ["0", "False", "False"]
+        assert os.path.exists(os.path.join(staged, "daf.csv"))
+
+    def test_run_and_each_stage_load_no_scipy(self, tmp_path):
+        cfg = _config(tmp_path, window_s=12.0, synth={"n_af": 5, "n_sinus": 5, "duration_s": 12.0})
+        assert self._fresh("run", "--config", cfg, script=self.NO_SCIPY_SCRIPT) == ["0", "None"]
+        staged = str(tmp_path / "staged")
+        for stage in ("synth", "extract", "daf"):
+            argv = (stage, "--config", cfg, "--out", staged)
+            assert self._fresh(*argv, script=self.NO_SCIPY_SCRIPT) == ["0", "None"]
         assert os.path.exists(os.path.join(staged, "daf.csv"))

@@ -5,12 +5,15 @@ sample by sample, and ``_moving_average_convolved`` counts each
 window's members with a second convolution; they are the oracles for
 ``beats.moving_average``. ``_adaptive_scan_loop`` is the adaptive
 threshold scan written out sample by sample; it is the oracle for the
-event-driven ``beats.adaptive_scan``.
+event-driven ``beats.adaptive_scan``. ``_refine_loop`` and
+``_matched_mask_loop`` are the per-candidate and per-detection loops
+that ``beats._refine`` and ``beats.matched_mask`` replaced; they are
+their oracles.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fwave import beats
@@ -99,6 +102,36 @@ def _adaptive_scan_loop(feat, min_dist, init_len, searchback):
             best_i = -1
             thr = npk + 0.25 * (spk - npk)
     return out[:m]
+
+
+def _refine_loop(score, raw, half, min_dist):
+    refined = []
+    for p in raw:
+        lo = max(0, p - half)
+        hi = min(len(score), p + half + 1)
+        refined.append(lo + int(np.argmax(score[lo:hi])))
+    refined = np.array(sorted(set(refined)), dtype=np.int64)
+    if len(refined) < 2:
+        return refined
+    keep = [0]
+    for i in range(1, len(refined)):
+        if refined[i] - refined[keep[-1]] >= min_dist:
+            keep.append(i)
+        elif score[refined[i]] > score[refined[keep[-1]]]:
+            keep[-1] = i
+    return refined[keep]
+
+
+def _matched_mask_loop(det_a, det_b, tol):
+    mask = np.zeros(len(det_a), dtype=bool)
+    j = 0
+    for i, p in enumerate(det_a):
+        while j < len(det_b) and det_b[j] < p - tol:
+            j += 1
+        if j < len(det_b) and abs(det_b[j] - p) <= tol:
+            mask[i] = True
+            j += 1
+    return mask
 
 
 def test_moving_average_paths_agree():
@@ -277,3 +310,47 @@ def test_detector_identical_across_paths(monkeypatch):
     det_loop = detect_r_peaks_energy(x, truth.fs)
     assert len(det_numpy) > 0
     assert np.array_equal(det_loop, det_numpy)
+
+
+@st.composite
+def _refine_case(draw):
+    """A score (signed, of any scale, or full of ties), a half-width and
+    candidates anywhere, repeated, unsorted, or within ``half`` of an edge."""
+    n = draw(st.integers(1, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "negative", "ties"]))
+    if kind == "random":
+        score = rng.standard_normal(n) * 10.0 ** int(rng.integers(-3, 4))
+    elif kind == "negative":  # the matched detector refines on a correlation
+        score = -1.0 - np.abs(rng.standard_normal(n))
+    else:
+        score = rng.integers(-1, 2, size=n).astype(np.float64)
+    half = draw(st.integers(0, 30))
+    edge = st.one_of(st.integers(0, min(half, n - 1)), st.integers(max(0, n - 1 - half), n - 1))
+    raw = draw(st.lists(st.one_of(st.integers(0, n - 1), edge), max_size=40))
+    return score, np.array(raw, dtype=np.int64), half
+
+
+@settings(max_examples=1000, deadline=None)
+@given(case=_refine_case(), min_dist=st.integers(1, 40))
+def test_refine_equals_candidate_loop(case, min_dist):
+    score, raw, half = case
+    got = beats._refine(score, raw, half, min_dist)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _refine_loop(score, raw, half, min_dist))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(det_a=st.lists(st.integers(0, 200), max_size=30),
+       det_b=st.lists(st.integers(0, 200), max_size=30),
+       tol=st.one_of(st.just(0.0), st.integers(0, 20), st.floats(0.0, 50.0)))
+@example([], [], 0.0)
+@example([5, 5, 9], [5, 9, 9], 0.0)
+@example([], [1, 2], 3.0)
+@example([1, 2], [], 3.0)
+def test_matched_mask_equals_detection_loop(det_a, det_b, tol):
+    det_a = np.array(sorted(det_a), dtype=np.int64)
+    det_b = np.array(sorted(det_b), dtype=np.int64)
+    got = beats.matched_mask(det_a, det_b, tol)
+    assert got.dtype == bool
+    assert np.array_equal(got, _matched_mask_loop(det_a, det_b, tol))

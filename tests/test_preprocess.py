@@ -8,6 +8,7 @@ import fwave.preprocess
 from fwave import synth
 from fwave.errors import ConfigError, SignalTooShortError
 from fwave.preprocess import (
+    _BLOCK,
     FilterSpec,
     bandpass_zero_phase,
     butter1,
@@ -212,8 +213,46 @@ class TestRecursionMatchesScipy:
         else:
             self._close(lfilter(b, a, x), scipy.signal.lfilter(b, a, x))
 
+    @pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+    @pytest.mark.parametrize("ba", [([0.3, -0.1], [1.0, -0.9]),
+                                    ([0.5, 0.2, -0.4], [2.0, -3.2, 1.7])], ids=["order1", "order2"])
+    @pytest.mark.parametrize("with_zi", [False, True])
+    def test_lfilter_at_block_edges(self, n, ba, with_zi):
+        b, a = ba
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n)
+        zi = rng.standard_normal(len(a) - 1) if with_zi else None
+        ref = scipy.signal.lfilter(b, a, x, zi=zi)
+        self._close(lfilter(b, a, x, zi), ref[0] if with_zi else ref)
+
+    @pytest.mark.parametrize("design", ["bandpass", "notch", "lowpass"])
+    @pytest.mark.parametrize("with_zi", [False, True])
+    def test_lfilter_of_the_real_designs_on_a_long_record(self, design, with_zi):
+        b, a = {"bandpass": butter1([0.67, 90.0], 200.0), "notch": iirnotch(60.0, 30.0, 200.0),
+                "lowpass": butter1(1.0, 200.0)}[design]
+        rng = np.random.default_rng(181)
+        x = rng.standard_normal(181_000)
+        zi = rng.standard_normal(len(a) - 1) if with_zi else None
+        ref = scipy.signal.lfilter(b, a, x, zi=zi)
+        self._close(lfilter(b, a, x, zi), ref[0] if with_zi else ref)
+
+    def test_operators_are_kept_per_denominator(self):
+        # the block operators are cached by ``a``: switching filters and
+        # back gives each its own output, every time
+        x = np.random.default_rng(5).standard_normal(3 * _BLOCK + 7)
+        first, second = butter1([0.67, 90.0], 200.0), iirnotch(60.0, 30.0, 200.0)
+        outputs = [lfilter(*ba, x) for ba in (first, second, first, second)]
+        for (b, a), y in zip((first, second, first, second), outputs):
+            self._close(y, scipy.signal.lfilter(b, a, x))
+        assert np.array_equal(outputs[0], outputs[2]) and np.array_equal(outputs[1], outputs[3])
+        assert not np.allclose(outputs[0], outputs[1])
+
     @given(_stable_filter(), st.integers(2, 3000), st.sampled_from(["one", "max", "between"]),
            st.integers(0, 2**32 - 1))
+    # outputs near the smallest subnormal: only scipy's own order matches
+    @example((np.array([0.0, 0.0, 4.84321851e-163]), np.array([1.0, -0.75, 0.0])), 3, "one", 1)
+    # a double pole at 0.992 and a large steady state: the blocks' carry cancels
+    @example((np.array([0.0, 0.0, 1.0]), np.real(np.poly([0.9921875, 0.9921875]))), 109, "max", 1)
     @settings(max_examples=300, deadline=None)
     def test_filtfilt(self, ba, n, pad, seed):
         b, a = ba
