@@ -103,11 +103,9 @@ def main(argv=None) -> int:
         elif args.command == "eval":
             table = None
             if getattr(args, "features", None):
-                from .evaluate import FeatureTable
-
                 if not os.path.isfile(args.features):
                     raise ConfigError(f"feature table {args.features} is not a file")
-                table = FeatureTable.from_csv(args.features)
+                table = pipeline.FeatureTable.from_csv(args.features)
             report = pipeline.stage_eval(cfg, table=table)
             print(json.dumps({m: report[m] for m in report["ranking"] + ["vote"]}, indent=1))
         else:  # pragma: no cover

@@ -1,5 +1,9 @@
 """AF/non-AF classification from the DAF feature and method ranking.
 
+The feature table holds one row per (window, method) in numpy columns:
+``daf_hz`` is float64, the others are object arrays of ``str`` (numpy's
+fixed-width strings drop trailing NULs, which would change a window id).
+
 A small random forest is grown from scratch on the single scalar DAF
 feature (bootstrap-sampled, Gini-split threshold trees), which keeps
 training fully deterministic for a given seed. Each tree's bootstrap
@@ -22,7 +26,8 @@ all methods and the vote, which share these three.
 
 import csv
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -36,51 +41,38 @@ REQUIRED_COLUMNS = ("window_id", "method", "daf_hz", "label")
 
 @dataclass
 class FeatureTable:
-    window_ids: list
-    methods: list
-    daf_hz: list
-    labels: list  # "AF" / "non-AF"
-    split: list = field(default_factory=list)  # "train" / "test" / ""
+    window_ids: np.ndarray
+    methods: np.ndarray
+    daf_hz: np.ndarray
+    labels: np.ndarray  # "AF" / "non-AF"
+    split: np.ndarray = ()  # "train" / "test" / ""; empty: "" for every row
 
     def __post_init__(self):
-        n = len(self.window_ids)
-        if not (len(self.methods) == len(self.daf_hz) == len(self.labels) == n):
+        if len(self.split) == 0:
+            self.split = [""] * len(self.window_ids)
+        if len({len(getattr(self, f.name)) for f in fields(self)}) > 1:
             raise ValueError("feature table columns have mismatched lengths")
-        if not self.split:
-            self.split = [""] * n
+        for name in ("window_ids", "methods", "labels", "split"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=object))
+        self.daf_hz = np.asarray(self.daf_hz, dtype=np.float64)
 
     def __len__(self):
         return len(self.window_ids)
 
-    def rows(self):
-        return zip(self.window_ids, self.methods, self.daf_hz, self.labels, self.split)
-
-    def select(self, method=None, split=None):
-        idx = [
-            i
-            for i in range(len(self))
-            if (method is None or self.methods[i] == method)
-            and (split is None or self.split[i] == split)
-        ]
-        return (
-            np.array([self.daf_hz[i] for i in idx], dtype=np.float64),
-            np.array([1 if self.labels[i] == POSITIVE_LABEL else 0 for i in idx]),
-            [self.window_ids[i] for i in idx],
-        )
-
-    def append(self, window_id, method, daf, label, split=""):
-        self.window_ids.append(window_id)
-        self.methods.append(method)
-        self.daf_hz.append(daf)
-        self.labels.append(label)
-        self.split.append(split)
+    def select(self, method, split):
+        """The DAFs, AF indicators and window ids of ``method``'s rows in
+        ``split``."""
+        keep = (self.methods == method) & (self.split == split)
+        labels = (self.labels[keep] == POSITIVE_LABEL).astype(int)
+        return self.daf_hz[keep], labels, self.window_ids[keep]
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["window_id", "method", "daf_hz", "label", "split"])
-            for row in self.rows():
-                w.writerow([row[0], row[1], f"{row[2]:.6f}", row[3], row[4]])
+            w.writerows(zip(self.window_ids.tolist(), self.methods.tolist(),
+                            [f"{d:.6f}" for d in self.daf_hz.tolist()],
+                            self.labels.tolist(), self.split.tolist()))
 
     @classmethod
     def from_csv(cls, path):
@@ -90,55 +82,60 @@ class FeatureTable:
         ``daf_hz``, a ``label`` other than ``AF`` or ``non-AF``, a second
         row for one (window_id, method), rows of one window that differ in
         ``label`` or ``split``, or bytes that are not UTF-8 raise
-        FormatError.
+        FormatError; so does, after these checks, a ``split`` other than
+        ``train``, ``test`` or empty, or one that some windows lack. As
+        with ``csv.DictReader``, blank rows are skipped and a repeated
+        column name reads its last column.
         """
-        wid, met, daf, lab, spl = [], [], [], [], []
-        seen, window = set(), {}
+        rows = []
+        seen, window = set(), {}  # window id: its (label, split), the line of its first row
         try:
             with open(path, newline="", encoding="utf-8") as fh:
-                reader = csv.DictReader(fh)
-                missing = [c for c in REQUIRED_COLUMNS if c not in (reader.fieldnames or ())]
+                reader = csv.reader(fh)
+                header = next(reader, None) or []
+                at = {name: i for i, name in enumerate(header)}
+                missing = [c for c in REQUIRED_COLUMNS if c not in at]
                 if missing:
                     raise FormatError(f"{path}: missing column(s) {', '.join(missing)}")
-                for row in reader:
-                    values = [row[c] for c in REQUIRED_COLUMNS]
+                take, split_at = [at[c] for c in REQUIRED_COLUMNS], at.get("split")
+                for row in (r for r in reader if r):
+                    row += [None] * (len(header) - len(row))
+                    wid, method, daf_text, label = values = [row[i] for i in take]
                     try:
-                        d = float(row["daf_hz"])
+                        daf = float(daf_text)
                     except (TypeError, ValueError):
-                        d = np.nan
-                    if None in values or not np.isfinite(d):
+                        daf = math.nan
+                    if None in values or not math.isfinite(daf):
                         raise FormatError(
                             f"{path}: line {reader.line_num}: need a finite daf_hz and "
                             f"all of {', '.join(REQUIRED_COLUMNS)}, got {values}"
                         )
-                    if row["label"] not in LABELS:
+                    if label not in LABELS:
                         raise FormatError(
                             f"{path}: line {reader.line_num}: label must be "
-                            f"{' or '.join(LABELS)}, got {row['label']!r}"
+                            f"{' or '.join(LABELS)}, got {label!r}"
                         )
-                    key = (row["window_id"], row["method"])
+                    key = (wid, method)
                     if key in seen:
                         raise FormatError(f"{path}: line {reader.line_num}: second row for {key}")
                     seen.add(key)
-                    label_split = (row["label"], row.get("split", "") or "")
-                    first = window.setdefault(row["window_id"], label_split)
+                    label_split = (label, (None if split_at is None else row[split_at]) or "")
+                    first = window.setdefault(wid, (label_split, reader.line_num))[0]
                     if label_split != first:
                         raise FormatError(
-                            f"{path}: line {reader.line_num}: window {row['window_id']!r} has "
+                            f"{path}: line {reader.line_num}: window {wid!r} has "
                             f"label, split {label_split}, an earlier row {first}"
                         )
-                    wid.append(row["window_id"])
-                    met.append(row["method"])
-                    daf.append(d)
-                    lab.append(label_split[0])
-                    spl.append(label_split[1])
+                    rows.append((wid, method, daf, label, label_split[1]))
         except (UnicodeDecodeError, csv.Error) as exc:
             raise FormatError(f"{path}: {exc}") from None
-        return cls(wid, met, daf, lab, spl)
-
-    @classmethod
-    def empty(cls):
-        return cls([], [], [], [], [])
+        # the first window's split says whether every window names one
+        allowed = ("train", "test") if rows and rows[0][4] else ("",)
+        for (_, split), line in window.values():
+            if split not in allowed:
+                raise FormatError(f"{path}: line {line}: split must be train or test in every "
+                                  f"window, or empty in every window, got {split!r}")
+        return cls(*zip(*rows)) if rows else cls([], [], [], [])
 
 
 @dataclass
@@ -157,8 +154,6 @@ class RandomForestModel:
 class ClassifierMetrics:
     f1: float
     auroc: float
-    sensitivity: float
-    ppv: float
     n_train: int = 0
     n_test: int = 0
 
@@ -170,35 +165,27 @@ def stratified_split(table: FeatureTable, train_frac: float = 0.8, rng_seed: int
     training set holds floor(train_frac * minority count) windows of
     each class; everything else is test.
     """
-    window_label = {}
-    for wid, _, _, lab, _ in table.rows():
-        if wid in window_label and window_label[wid] != lab:
-            raise ConfigError(f"window {wid} carries conflicting labels")
-        window_label[wid] = lab
-    classes = {}
-    for wid in sorted(window_label):
-        classes.setdefault(window_label[wid], []).append(wid)
-    for lab, wids in classes.items():
-        if len(wids) < 5:
-            raise ConfigError(f"class {lab!r} has only {len(wids)} windows, need >= 5")
+    wids, first, row_window = np.unique(table.window_ids, return_index=True, return_inverse=True)
+    window_label = table.labels[first]
+    conflict = np.flatnonzero(table.labels != window_label[row_window])
+    if len(conflict):
+        raise ConfigError(f"window {table.window_ids[conflict[0]]} carries conflicting labels")
+    # each class's windows in sorted order, the classes in order of their first window
+    classes = {lab: np.flatnonzero(window_label == lab)
+               for lab in dict.fromkeys(window_label.tolist())}
+    for lab, members in classes.items():
+        if len(members) < 5:
+            raise ConfigError(f"class {lab!r} has only {len(members)} windows, need >= 5")
     if len(classes) != 2:
         raise ConfigError(f"need exactly two classes, got {sorted(classes)}")
     minority = min(len(w) for w in classes.values())
     n_train = int(train_frac * minority)
     rng = np.random.default_rng(rng_seed)
-    assignment = {}
+    train = np.zeros(len(wids), dtype=bool)
     for lab in sorted(classes):
-        wids = list(classes[lab])
-        rng.shuffle(wids)
-        for wid in wids[:n_train]:
-            assignment[wid] = "train"
-        for wid in wids[n_train:]:
-            assignment[wid] = "test"
-    split = [assignment[wid] for wid in table.window_ids]
-    return FeatureTable(
-        list(table.window_ids), list(table.methods), list(table.daf_hz),
-        list(table.labels), split,
-    )
+        rng.shuffle(classes[lab])  # the permutation a list of the same ids would get
+        train[classes[lab][:n_train]] = True
+    return replace(table, split=np.where(train[row_window], "train", "test"))
 
 
 # --- random forest on a single scalar feature ------------------------------
@@ -423,8 +410,6 @@ def evaluate_model(model: RandomForestModel, table: FeatureTable) -> ClassifierM
     return ClassifierMetrics(
         f1=f1,
         auroc=auroc_rank(probs, y_test),
-        sensitivity=sens,
-        ppv=ppv,
         n_train=model.n_train,
         n_test=len(x_test),
     )

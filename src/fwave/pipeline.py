@@ -27,7 +27,6 @@ run. A run that yields zero usable windows raises NoUsableWindowsError
 (CLI exit code 3).
 """
 
-import collections
 import functools
 import inspect
 import json
@@ -37,7 +36,7 @@ import os
 import types
 import zlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -482,26 +481,27 @@ def stage_daf(cfg: PipelineConfig) -> FeatureTable:
             and len(set(methods)) == len(methods)):
         raise _malformed(meta_path, "extract",
                          f"want 'extractors' to list some of {METHODS}, each once")
-    table = FeatureTable.empty()
-    spectra_dumped = False
+    dafs = []
+    dump_wid = next((w["window_id"] for w in windows if w["label"] == "AF"), None)
     spec_dir = _path(cfg, "spectra")
     for win in windows:
-        wid, label, fs = win["window_id"], win["label"], win["fs"]
+        wid, fs = win["window_id"], win["fs"]
         for method in methods:
             res_path = _path(cfg, "residuals", f"{wid}__{method}.fwk")
             _require(res_path, "extract")
             rec = dataio.load_recording(res_path)
             ps = spectral.welch_psd(rec.samples, fs, seg_s=cfg.welch_seg_s,
                                     overlap=cfg.welch_overlap)
-            table.append(wid, method, spectral.estimate_daf(ps), label)
-            if label == "AF" and not spectra_dumped:
+            dafs.append(spectral.estimate_daf(ps))
+            if wid == dump_wid:
                 os.makedirs(spec_dir, exist_ok=True)
                 with open(os.path.join(spec_dir, f"{wid}__{method}.csv"), "w") as fh:
                     fh.write("freq_hz,power\n")
                     fh.write("%.6f,%.9g\n" * len(ps.freqs)
                              % tuple(np.column_stack((ps.freqs, ps.power)).ravel().tolist()))
-        if label == "AF":
-            spectra_dumped = True
+    table = FeatureTable([w["window_id"] for w in windows for _ in methods],
+                         methods * len(windows), dafs,
+                         [w["label"] for w in windows for _ in methods])
     table.to_csv(_path(cfg, "daf.csv"))
     return table
 
@@ -509,13 +509,43 @@ def stage_daf(cfg: PipelineConfig) -> FeatureTable:
 # --- stage: eval ------------------------------------------------------------
 
 def _daf_summary(table: FeatureTable, method: str) -> dict:
-    vals = [
-        d for _, m, d, lab, _ in table.rows() if m == method and lab == "AF"
-    ]
-    if not vals:
+    vals = table.daf_hz[(table.methods == method) & (table.labels == "AF")]
+    if not len(vals):
         return {"median": None, "q1": None, "q3": None}
     q1, med, q3 = np.percentile(vals, [25, 50, 75])
     return {"median": round(float(med), 4), "q1": round(float(q1), 4), "q3": round(float(q3), 4)}
+
+
+def _vote(table: FeatureTable, voting_set) -> FeatureTable:
+    """``table`` plus a ``vote`` row per window, in sorted order: the
+    median DAF over ``voting_set``, with the label and split of the
+    window's first row."""
+    seen = set()
+    for key in zip(table.window_ids.tolist(), table.methods.tolist()):
+        if key in seen:
+            raise VotingError(f"window {key[0]}: duplicate estimate for method {key[1]}")
+        seen.add(key)
+    wids, first, row_window = np.unique(table.window_ids, return_index=True, return_inverse=True)
+    # the (voting set x windows) pivot, and which of its cells a row fills
+    dafs = np.zeros((len(voting_set), len(wids)))
+    present = np.zeros(dafs.shape, dtype=bool)
+    for k, method in enumerate(voting_set):
+        rows = table.methods == method
+        dafs[k, row_window[rows]] = table.daf_hz[rows]
+        present[k, row_window[rows]] = True
+    # vote_daf gets the methods of the first window that lacks one (or of
+    # the first window), so it names what that window lacks
+    j = np.argmin(present.all(axis=0))
+    try:
+        votes = spectral.vote_daf(
+            {m: dafs[k] for k, m in enumerate(voting_set) if present[k, j]}, voting_set
+        )
+    except VotingError as exc:
+        raise VotingError(f"window {wids[j]}: {exc}") from None
+    vote = FeatureTable(wids, np.full(len(wids), "vote"), votes, table.labels[first],
+                        table.split[first])
+    return FeatureTable(*(np.concatenate((getattr(table, f.name), getattr(vote, f.name)))
+                          for f in fields(FeatureTable)))
 
 
 def stage_eval(cfg: PipelineConfig, table: FeatureTable | None = None) -> dict:
@@ -526,11 +556,12 @@ def stage_eval(cfg: PipelineConfig, table: FeatureTable | None = None) -> dict:
         table = FeatureTable.from_csv(daf_path)
     if len(table) == 0:
         raise NoUsableWindowsError("no usable windows reached evaluation")
-    if any(s not in ("train", "test") for s in table.split):
+    if not {"train", "test"}.issuperset(table.split.tolist()):
         table = stratified_split(table, rng_seed=cfg.seed)
 
-    methods = [m for m in cfg.extractors if m in set(table.methods)]
-    prevoted = "vote" in set(table.methods)
+    present = set(table.methods.tolist())
+    methods = [m for m in cfg.extractors if m in present]
+    prevoted = "vote" in present
     if not methods and not prevoted:
         raise ConfigError(
             "feature table contains none of the configured extractor methods"
@@ -538,61 +569,27 @@ def stage_eval(cfg: PipelineConfig, table: FeatureTable | None = None) -> dict:
     # every forest draws its bootstraps from the seed, the tree count and
     # its train-row count alone: draw once per count, for this call only
     draws = functools.cache(lambda n: bootstrap_draws(n, cfg.rf_n_trees, cfg.seed))
-    n_train = collections.Counter(m for m, s in zip(table.methods, table.split) if s == "train")
-    metrics = {}
-    for method in methods:
-        model = train_rf(table, method, draws(n_train[method]), max_depth=cfg.rf_max_depth)
-        metrics[method] = evaluate_model(model, table)
 
+    def forest_metrics(t, method):
+        n_train = len(t.select(method=method, split="train")[0])
+        return evaluate_model(train_rf(t, method, draws(n_train), max_depth=cfg.rf_max_depth), t)
+
+    metrics = {method: forest_metrics(table, method) for method in methods}
     ranking = rank_methods(metrics) if len(metrics) >= 2 else list(metrics)
     voting_set = tuple(cfg.voting_set) if cfg.voting_set else tuple(ranking[:3])
-
-    vote_table = FeatureTable(
-        list(table.window_ids), list(table.methods), list(table.daf_hz),
-        list(table.labels), list(table.split),
-    )
     if prevoted:
         # table already carries vote rows (e.g. a hand-supplied features
         # file): evaluate them as-is instead of re-voting
-        voting_set = ()
+        voting_set, vote_table = (), table
     else:
-        # median-vote DAF per window over the voting set
-        per_window = {}
-        for wid, m, d, lab, spl in table.rows():
-            dafs = per_window.setdefault(wid, (lab, spl, {}))[2]
-            if m in dafs:
-                raise VotingError(f"window {wid}: duplicate estimate for method {m}")
-            dafs[m] = d
-        wids = sorted(per_window)
-        for wid in wids:
-            try:
-                spectral.require_dafs(per_window[wid][2], voting_set)
-            except VotingError as exc:
-                raise VotingError(f"window {wid}: {exc}") from None
-        # every window's vote from one np.median over (voting set x windows)
-        votes = spectral.vote_daf(
-            {m: [per_window[wid][2][m] for wid in wids] for m in voting_set}, voting_set
-        )
-        for wid, vote in zip(wids, votes.tolist()):
-            lab, spl, _ = per_window[wid]
-            vote_table.append(wid, "vote", vote, lab, spl)
-        n_train["vote"] = sum(per_window[wid][1] == "train" for wid in wids)
-
-    vote_model = train_rf(vote_table, "vote", draws(n_train["vote"]), max_depth=cfg.rf_max_depth)
-    metrics["vote"] = evaluate_model(vote_model, vote_table)
+        vote_table = _vote(table, voting_set)
+    metrics["vote"] = forest_metrics(vote_table, "vote")
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     vote_table.to_csv(_path(cfg, "features.csv"))
 
-    report = {}
-    for name, m in metrics.items():
-        report[name] = {
-            "f1": round(m.f1, 4),
-            "auroc": round(m.auroc, 4),
-            "n_train": m.n_train,
-            "n_test": m.n_test,
-            "seed": cfg.seed,
-        }
+    report = {name: {**asdict(m), "f1": round(m.f1, 4), "auroc": round(m.auroc, 4),
+                     "seed": cfg.seed} for name, m in metrics.items()}
     report["ranking"] = ranking
     report["voting_set"] = list(voting_set)
     report["daf_summary"] = {

@@ -135,13 +135,9 @@ def vote_daf(dafs, methods=("TS_B", "TS_CE", "TS_SU")):
     ``methods`` must have a DAF; other methods are ignored. An even count
     yields the mean of the two middle values.
     """
-    require_dafs(dafs, methods)
-    vote = np.median(np.array([dafs[m] for m in methods], dtype=np.float64), axis=0)
-    return float(vote) if vote.ndim == 0 else vote
-
-
-def require_dafs(dafs, methods):
-    """VotingError naming the methods of ``methods`` that ``dafs`` lacks."""
     missing = [m for m in methods if m not in dafs]
     if missing:
         raise VotingError(f"missing DAF estimate for method(s): {', '.join(missing)}")
+    vote = np.median(np.array([dafs[m] for m in methods], dtype=np.float64), axis=0)
+    return float(vote) if vote.ndim == 0 else vote
+

@@ -715,6 +715,27 @@ class TestEvalOnFeatureTable:
         assert main(["eval", "--features", str(feat), "--out", str(tmp_path / "o")]) == 1
         _one_line_error(capsys, str(feat), needle, prefix="error: ")
 
+    @pytest.mark.parametrize("split_of, needle", [
+        (lambda i: "Train" if i < 8 else "test",
+         "line 2: split must be train or test in every window, or empty in every window, "
+         "got 'Train'"),
+        (lambda i: "train" if i < 8 else "",
+         "line 18: split must be train or test in every window, or empty in every window, "
+         "got ''"),
+    ], ids=["misspelt", "partial"])
+    def test_unknown_or_partial_split_is_exit_1(self, tmp_path, capsys, split_of, needle):
+        # a table that names the split of some windows must name it
+        # rightly for all; it used to be redrawn from the seed silently
+        rows = ["window_id,method,daf_hz,label,split"]
+        for i in range(12):
+            rows.append(f"af{i:02d},vote,{6 + i / 10},AF,{split_of(i)}")
+            rows.append(f"ns{i:02d},vote,{9 + i / 10},non-AF,{split_of(i)}")
+        feat = tmp_path / "features.csv"
+        feat.write_text("\n".join(rows) + "\n")
+        assert main(["eval", "--features", str(feat), "--out", str(tmp_path / "o")]) == 1
+        _one_line_error(capsys, str(feat), needle, prefix="error: ")
+        assert not (tmp_path / "o").exists()
+
 
 class TestColdStart:
     """Each check runs in a fresh interpreter: the test run itself has

@@ -180,11 +180,12 @@ class TestVoteDaf:
     def test_duplicate_method_rejected(self, tmp_path):
         # a mapping holds one DAF per method, so the stage that builds it
         # refuses a table built in code with a second row for a window
-        table = FeatureTable.empty()
+        rows = []
         for i in range(10):
             for m in ("TS_B", "TS_CE", "TS_SU"):
-                table.append(f"w{i}", m, 6.0 + i / 10, "AF" if i % 2 else "non-AF")
-        table.append("w3", "TS_B", 6.1, "AF")
+                rows.append((f"w{i}", m, 6.0 + i / 10, "AF" if i % 2 else "non-AF"))
+        rows.append(("w3", "TS_B", 6.1, "AF"))
+        table = FeatureTable(*zip(*rows))
         with pytest.raises(VotingError, match="window w3: duplicate estimate for method TS_B"):
             stage_eval(PipelineConfig(out_dir=str(tmp_path / "o")), table)
 
@@ -206,11 +207,12 @@ class TestVoteDaf:
     def test_first_window_in_order_named(self, tmp_path):
         # windows are checked in sorted order, not in row order
         lacking = {"w05": 2, "w02": 1}  # methods each of these has
-        table = FeatureTable.empty()
+        rows = []
         for i in reversed(range(12)):
             wid = f"w{i:02d}"
             for m in ("TS_B", "TS_CE", "TS_SU")[:lacking.get(wid, 3)]:
-                table.append(wid, m, 6.0 + i / 10, "AF" if i % 2 else "non-AF")
+                rows.append((wid, m, 6.0 + i / 10, "AF" if i % 2 else "non-AF"))
+        table = FeatureTable(*zip(*rows))
         with pytest.raises(VotingError) as info:
             stage_eval(PipelineConfig(out_dir=str(tmp_path / "o"),
                                       voting_set=("TS_B", "TS_CE", "TS_SU")), table)
