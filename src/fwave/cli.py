@@ -22,29 +22,31 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="pipeline config JSON file")
-    common.add_argument("--out", help="output directory (overrides config)")
-    common.add_argument("--seed", type=int, help="master RNG seed (overrides config)")
-    common.add_argument("--workers", type=int, help="parallel window workers")
+    base = argparse.ArgumentParser(add_help=False)
+    base.add_argument("--config", help="pipeline config JSON file")
+    base.add_argument("--out", help="output directory (overrides config)")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[base])
+    seeded.add_argument("--seed", type=int, help="master RNG seed (overrides config)")
+    windowed = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    windowed.add_argument("--workers", type=int, help="parallel window workers")
+    windowed.add_argument("--dump-beats", action="store_true", help="write per-window beat maps")
 
-    run = sub.add_parser("run", parents=[common], help="run the full pipeline")
-    run.add_argument("--dump-beats", action="store_true", help="write per-window beat maps")
+    sub.add_parser("run", parents=[windowed], help="run the full pipeline")
 
-    syn = sub.add_parser("synth", parents=[common], help="generate the synthetic corpus")
+    syn = sub.add_parser("synth", parents=[seeded], help="generate the synthetic corpus")
     syn.add_argument("--n-af", type=int, help="number of AF records")
     syn.add_argument("--n-sinus", type=int, help="number of sinus records")
     syn.add_argument("--f0-min", type=float, help="lower f-wave fundamental bound (Hz)")
     syn.add_argument("--f0-max", type=float, help="upper f-wave fundamental bound (Hz)")
     syn.add_argument("--format", choices=("csv", "binary"), help="record file format")
 
-    ext = sub.add_parser("extract", parents=[common], help="quality-gate windows and extract f-waves")
+    ext = sub.add_parser("extract", parents=[windowed],
+                         help="quality-gate windows and extract f-waves")
     ext.add_argument("--method", action="append", help="restrict to this extractor (repeatable)")
-    ext.add_argument("--dump-beats", action="store_true", help="write per-window beat maps")
 
-    sub.add_parser("daf", parents=[common], help="estimate the DAF of extracted residuals")
+    sub.add_parser("daf", parents=[base], help="estimate the DAF of extracted residuals")
 
-    ev = sub.add_parser("eval", parents=[common], help="train/evaluate the DAF classifiers")
+    ev = sub.add_parser("eval", parents=[seeded], help="train/evaluate the DAF classifiers")
     ev.add_argument("--features", help="evaluate a ready-made feature table CSV instead of daf.csv")
 
     return p
@@ -54,8 +56,8 @@ def _config(args) -> pipeline.PipelineConfig:
     """The config file plus the flags, checked once by the constructor."""
     flags = {
         "out_dir": args.out,
-        "seed": args.seed,
-        "workers": args.workers,
+        "seed": getattr(args, "seed", None),
+        "workers": getattr(args, "workers", None),
         "dump_beats": getattr(args, "dump_beats", False) or None,
         "extractors": tuple(args.method) if getattr(args, "method", None) else None,
         "record_format": getattr(args, "format", None),
@@ -100,16 +102,14 @@ def main(argv=None) -> int:
         elif args.command == "daf":
             table = pipeline.stage_daf(cfg)
             print(f"estimated {len(table)} DAF values -> {cfg.out_dir}/daf.csv")
-        elif args.command == "eval":
+        else:  # eval
             table = None
-            if getattr(args, "features", None):
+            if args.features:
                 if not os.path.isfile(args.features):
                     raise ConfigError(f"feature table {args.features} is not a file")
                 table = pipeline.FeatureTable.from_csv(args.features)
             report = pipeline.stage_eval(cfg, table=table)
             print(json.dumps({m: report[m] for m in report["ranking"] + ["vote"]}, indent=1))
-        else:  # pragma: no cover
-            raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -77,7 +77,8 @@ def load_recording(path, fmt=None) -> EcgRecording:
             fmt = "binary" if fh.read(4) == BINARY_MAGIC else "csv"
             fh.seek(0)
         if fmt == "csv":
-            return _load_csv(io.TextIOWrapper(fh, encoding="utf-8"), path)
+            with io.TextIOWrapper(fh, encoding="utf-8") as text:
+                return _load_csv(text, path)
         return _load_binary(fh, path)
 
 

@@ -108,6 +108,11 @@ def _check_types(obj, prefix="") -> None:
         _check_type(prefix + name, getattr(obj, name), f.type)
 
 
+def _default(fn, name):
+    """The default of ``fn``'s parameter ``name``: one value for a setting and its stage."""
+    return inspect.signature(fn).parameters[name].default
+
+
 # the synth block: generate_corpus's keyword arguments, less the seed
 _SYNTH_PARAMS = {name: p for name, p in inspect.signature(synth.generate_corpus).parameters.items()
                  if name != "rng_seed"}
@@ -125,18 +130,18 @@ class PipelineConfig:
     synth: dict | None = None  # generate_corpus's keyword arguments, less rng_seed
     recordings: list = field(default_factory=list)  # [{"recording", "annotation"}]
     filter: FilterSpec = field(default_factory=FilterSpec)
-    bsqi_threshold: float = 0.8
-    bsqi_segment_s: float = 10.0
-    bsqi_match_tol_ms: float = 150.0
-    window_s: float = 60.0
-    min_event_s: float = 30.0
+    bsqi_threshold: float = _default(compute_bsqi, "threshold")
+    bsqi_segment_s: float = _default(compute_bsqi, "segment_s")
+    bsqi_match_tol_ms: float = _default(compute_bsqi, "match_tol_ms")
+    window_s: float = _default(dataio.extract_af_windows, "window_s")
+    min_event_s: float = _default(dataio.extract_af_windows, "min_event_s")
     min_beats: int = DEFAULT_MIN_BEATS
     extractors: tuple = METHODS
     voting_set: tuple | None = None  # None -> top 3 by ranking
-    welch_seg_s: float = 10.0
-    welch_overlap: float = 0.5
+    welch_seg_s: float = spectral.DEFAULT_SEG_S
+    welch_overlap: float = spectral.DEFAULT_OVERLAP
     rf_n_trees: int = 100
-    rf_max_depth: int = 4
+    rf_max_depth: int = _default(train_rf, "max_depth")
     dump_beats: bool = False
     record_format: str = "binary"
 
@@ -556,8 +561,18 @@ def stage_eval(cfg: PipelineConfig, table: FeatureTable | None = None) -> dict:
         table = FeatureTable.from_csv(daf_path)
     if len(table) == 0:
         raise NoUsableWindowsError("no usable windows reached evaluation")
-    if not {"train", "test"}.issuperset(table.split.tolist()):
+    if not any(table.split.tolist()):
         table = stratified_split(table, rng_seed=cfg.seed)
+    else:  # the split is given: every row of a window says train, or every row test
+        wids, first, row_window = np.unique(table.window_ids, return_index=True,
+                                            return_inverse=True)
+        split = table.split[first][row_window]
+        bad = row_window[(table.split != split) | ((split != "train") & (split != "test"))]
+        if len(bad):
+            i = bad.min()  # the first such window in sorted order
+            raise FormatError(f"window {wids[i]!r} has split "
+                              f"{table.split[row_window == i].tolist()}: every row of a window "
+                              "must say train, or every row test")
 
     present = set(table.methods.tolist())
     methods = [m for m in cfg.extractors if m in present]

@@ -8,6 +8,7 @@ import hashlib
 import json
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -263,7 +264,7 @@ def test_criterion_8_bsqi_gating(tmp_path):
 def test_criterion_9_determinism(pipeline_runs):
     """Two identical runs produce byte-identical features.csv and metrics.json."""
     def sha(path):
-        return hashlib.sha256(open(path, "rb").read()).hexdigest()
+        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
     (out_a, _), (out_b, _) = pipeline_runs
     same = {
@@ -278,7 +279,7 @@ def test_criterion_10_report_format(pipeline_runs):
     """Report prints DAF median (Q1-Q3), an F1/AUROC table, and the
     clearly-labeled non-reproducible reference values."""
     out, _ = pipeline_runs[0]
-    text = open(os.path.join(out, "report.txt")).read()
+    text = Path(out, "report.txt").read_text()
     checks = {
         "median (Q1-Q3)": "median (Q1-Q3)" in text,
         "F1/AUROC table": "F1" in text and "AUROC" in text,

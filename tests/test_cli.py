@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fwave.pipeline
-from fwave.cli import main
+from fwave.cli import _build_parser, main
 from fwave.dataio import EcgRecording, load_recording, write_recording
 from fwave.errors import ConfigError
 from fwave.pipeline import PipelineConfig, _window_jobs
@@ -36,7 +37,7 @@ def _config(tmp_path, **overrides):
 
 
 def _sha(path):
-    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _tree_hashes(root):
@@ -59,15 +60,14 @@ class TestSynthCommand:
         rc = main(["synth", "--n-af", "2", "--n-sinus", "1", "--out", out,
                    "--seed", "5"])
         assert rc == 0
-        manifest = json.load(open(os.path.join(out, "records", "manifest.json")))
+        manifest = json.loads(Path(out, "records", "manifest.json").read_text())
         assert len(manifest["records"]) == 3
         labels = [e["label"] for e in manifest["records"]]
         assert labels.count("AF") == 2 and labels.count("non-AF") == 1
         assert all(e["path"].endswith(".fwk") for e in manifest["records"])
         rec = load_recording(os.path.join(out, "records", manifest["records"][0]["path"]))
         assert rec.duration_s == pytest.approx(60.0)
-        truth = json.load(open(os.path.join(out, "records",
-                                            manifest["records"][0]["truth"])))
+        truth = json.loads(Path(out, "records", manifest["records"][0]["truth"]).read_text())
         assert 4.5 <= truth["daf_true"] <= 11.0
         assert "wrote 3 records" in capsys.readouterr().out
 
@@ -76,7 +76,7 @@ class TestSynthCommand:
         rc = main(["synth", "--n-af", "1", "--n-sinus", "0", "--out", out,
                    "--format", "binary"])
         assert rc == 0
-        manifest = json.load(open(os.path.join(out, "records", "manifest.json")))
+        manifest = json.loads(Path(out, "records", "manifest.json").read_text())
         assert manifest["records"][0]["path"].endswith(".fwk")
         load_recording(os.path.join(out, "records", manifest["records"][0]["path"]))
 
@@ -85,10 +85,10 @@ class TestSynthCommand:
         rc = main(["synth", "--n-af", "1", "--n-sinus", "0", "--out", out,
                    "--format", "csv"])
         assert rc == 0
-        manifest = json.load(open(os.path.join(out, "records", "manifest.json")))
+        manifest = json.loads(Path(out, "records", "manifest.json").read_text())
         path = os.path.join(out, "records", manifest["records"][0]["path"])
         assert path.endswith(".csv")
-        assert open(path).readline().startswith("# record_id=")
+        assert Path(path).read_text().splitlines()[0].startswith("# record_id=")
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +97,7 @@ def run_dir(tmp_path_factory):
     cfg = _config(tmp)
     rc = main(["run", "--config", cfg])
     assert rc == 0
-    return json.load(open(tmp / "config.json"))["out_dir"]
+    return json.loads((tmp / "config.json").read_text())["out_dir"]
 
 
 class TestFullRun:
@@ -107,7 +107,7 @@ class TestFullRun:
             assert os.path.exists(os.path.join(run_dir, name)), name
 
     def test_metrics_schema(self, run_dir):
-        metrics = json.load(open(os.path.join(run_dir, "metrics.json")))
+        metrics = json.loads(Path(run_dir, "metrics.json").read_text())
         for m in ("TS_B", "TS_CE", "TS_SU", "TS_PCA", "vote"):
             assert set(metrics[m]) == {"f1", "auroc", "n_train", "n_test", "seed"}
             assert 0.0 <= metrics[m]["f1"] <= 1.0
@@ -119,15 +119,15 @@ class TestFullRun:
             assert set(metrics["daf_summary"][m]) == {"median", "q1", "q3"}
 
     def test_every_window_accounted_for(self, run_dir):
-        windows = json.load(open(os.path.join(run_dir, "windows.json")))["windows"]
-        excl = json.load(open(os.path.join(run_dir, "exclusions.json")))["windows"]
+        windows = json.loads(Path(run_dir, "windows.json").read_text())["windows"]
+        excl = json.loads(Path(run_dir, "exclusions.json").read_text())["windows"]
         used = {w["window_id"] for w in windows}
         excluded = {e["window_id"] for e in excl}
         assert not used & excluded
         assert len(used) + len(excluded) == 20
 
     def test_residuals_are_fwk(self, run_dir):
-        windows = json.load(open(os.path.join(run_dir, "windows.json")))["windows"]
+        windows = json.loads(Path(run_dir, "windows.json").read_text())["windows"]
         names = sorted(os.listdir(os.path.join(run_dir, "residuals")))
         assert names == sorted(
             f"{w['window_id']}__{m}.fwk" for w in windows
@@ -139,11 +139,11 @@ class TestFullRun:
     def test_spectra_dumped(self, run_dir):
         spectra = os.listdir(os.path.join(run_dir, "spectra"))
         assert len(spectra) == 4
-        first = open(os.path.join(run_dir, "spectra", sorted(spectra)[0])).readline()
+        first = Path(run_dir, "spectra", sorted(spectra)[0]).read_text().splitlines()[0]
         assert first.strip() == "freq_hz,power"
 
     def test_report_shape(self, run_dir):
-        text = open(os.path.join(run_dir, "report.txt")).read()
+        text = Path(run_dir, "report.txt").read_text()
         assert "median (Q1-Q3)" in text
         assert "F1" in text and "AUROC" in text
         assert "NOT reproducible" in text
@@ -158,18 +158,18 @@ class TestStagedComposition:
         for cmd in ("synth", "extract", "daf", "eval"):
             extra = ["--dump-beats"] if cmd == "extract" else []
             assert main([cmd, "--config", cfg_b, *extra]) == 0
-        out_a = json.load(open(cfg_a))["out_dir"]
-        out_b = json.load(open(cfg_b))["out_dir"]
+        out_a = json.loads(Path(cfg_a).read_text())["out_dir"]
+        out_b = json.loads(Path(cfg_b).read_text())["out_dir"]
         for name in ("features.csv", "metrics.json", "daf.csv", "report.txt"):
             assert _sha(os.path.join(out_a, name)) == _sha(os.path.join(out_b, name)), name
         # --dump-beats: one beat map per analysed window, none elsewhere
-        wids = [w["window_id"] for w in json.load(open(os.path.join(out_b, "windows.json")))["windows"]]
+        wids = [w["window_id"] for w in json.loads(Path(out_b, "windows.json").read_text())["windows"]]
         assert wids and sorted(os.listdir(os.path.join(out_b, "beats"))) == sorted(
             f"{wid}.json" for wid in wids
         )
         assert not os.path.exists(os.path.join(out_a, "beats"))
         for wid in wids:
-            beats = json.load(open(os.path.join(out_b, "beats", f"{wid}.json")))
+            beats = json.loads(Path(out_b, "beats", f"{wid}.json").read_text())
             assert np.all(np.diff(beats["r_peaks"]) > 0), wid
             assert len(beats["fiducials"]) == len(beats["r_peaks"]), wid
             # the rows are the beats' cuts: ordered, disjoint and inside the window
@@ -196,12 +196,50 @@ class TestWorkers:
         cfg_b = _config(tmp_path / "b", seed=31)
         assert main(["run", "--config", cfg_a, "--workers", "1", "--dump-beats"]) == 0
         assert main(["run", "--config", cfg_b, "--workers", "2", "--dump-beats"]) == 0
-        out_a = json.load(open(cfg_a))["out_dir"]
-        out_b = json.load(open(cfg_b))["out_dir"]
+        out_a = json.loads(Path(cfg_a).read_text())["out_dir"]
+        out_b = json.loads(Path(cfg_b).read_text())["out_dir"]
         hashes = _tree_hashes(out_a)
         assert any(name.startswith("residuals") for name in hashes)
         assert any(name.startswith("beats") for name in hashes)
         assert hashes == _tree_hashes(out_b)
+
+
+class TestSettingsFlags:
+    """Each subcommand takes the flags of the settings it reads, and no
+    other: a flag it would ignore is argparse's usage error (exit 2)."""
+
+    @pytest.mark.parametrize("command, flag, accepted", [
+        pytest.param(command, flag, flag[0] in accepts, id=command + flag[0])
+        for command, accepts in (("run", {"--seed", "--workers", "--dump-beats"}),
+                                 ("synth", {"--seed"}),
+                                 ("extract", {"--seed", "--workers", "--dump-beats"}),
+                                 ("daf", set()),
+                                 ("eval", {"--seed"}))
+        for flag in (["--seed", "1"], ["--workers", "2"], ["--dump-beats"])
+    ])
+    def test_flag_accepted_only_where_it_acts(self, command, flag, accepted, capsys):
+        if accepted:
+            args = _build_parser().parse_args([command, *flag])
+            assert vars(args)[flag[0][2:].replace("-", "_")] == (int(flag[1]) if flag[1:] else True)
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main([command, *flag])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flags", [
+        ("run", ["--config", "--out", "--seed", "--workers", "--dump-beats"]),
+        ("synth", ["--config", "--out", "--seed", "--n-af", "--n-sinus", "--f0-min",
+                   "--f0-max", "--format"]),
+        ("extract", ["--config", "--out", "--seed", "--workers", "--dump-beats", "--method"]),
+        ("daf", ["--config", "--out"]),
+        ("eval", ["--config", "--out", "--seed", "--features"]),
+    ])
+    def test_each_command_lists_exactly_its_flags(self, command, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.M) == flags
 
 
 class TestStageOrder:
@@ -622,8 +660,8 @@ class TestExitCodes:
                                        "noise_rms_mv": 0.5})
         rc = main(["run", "--config", cfg])
         assert rc == 3
-        out_dir = json.load(open(cfg))["out_dir"]
-        ledger = json.load(open(os.path.join(out_dir, "exclusions.json")))
+        out_dir = json.loads(Path(cfg).read_text())["out_dir"]
+        ledger = json.loads(Path(out_dir, "exclusions.json").read_text())
         assert len(ledger["windows"]) == 6
         assert all("bsqi" in e["reason"] for e in ledger["windows"])
 
@@ -659,7 +697,7 @@ class TestEvalOnFeatureTable:
         rc = main(["eval", "--features", str(feat), "--out", str(tmp_path / "o"),
                    "--seed", "1"])
         assert rc == 0
-        metrics = json.load(open(tmp_path / "o" / "metrics.json"))
+        metrics = json.loads((tmp_path / "o" / "metrics.json").read_text())
         assert metrics["vote"]["auroc"] == pytest.approx(1.0)
         assert metrics["vote"]["f1"] == pytest.approx(1.0)
 

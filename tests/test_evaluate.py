@@ -353,6 +353,47 @@ class TestStratifiedSplit:
         assert out.window_ids is t.window_ids and out.daf_hz is t.daf_hz
 
 
+def _given_split(split):
+    """Windows af00-af09 and ns00-ns09 (indices 0-19), two methods each;
+    ``split(i, k)`` is the split of window i's k-th row."""
+    rng = np.random.default_rng(3)
+    rows = []
+    for i in range(20):
+        wid, label, lo = (f"af{i:02d}", "AF", 5) if i < 10 else (f"ns{i - 10:02d}", "non-AF", 9)
+        rows += [(wid, m, rng.uniform(lo, lo + 2), label, split(i, k))
+                 for k, m in enumerate(("TS_B", "TS_CE"))]
+    return FeatureTable(*zip(*rows))
+
+
+def _train_test(i, k):  # windows 8, 9, 18 and 19 test, the rest train
+    return "test" if i % 10 >= 8 else "train"
+
+
+class TestGivenSplit:
+    """stage_eval draws the split from the seed only when no row names
+    one; otherwise every row of a window must say train, or every row
+    test, and the first window in sorted order that does not is named."""
+
+    def test_full_split_is_used_as_given(self, tmp_path):
+        table = _given_split(_train_test)
+        report = stage_eval(PipelineConfig(out_dir=str(tmp_path / "o")), table=table)
+        assert report["vote"]["n_test"] == 4
+        out = FeatureTable.from_csv(tmp_path / "o" / "features.csv")
+        assert out.split[: len(table)].tolist() == table.split.tolist()
+
+    @pytest.mark.parametrize("split, window", [
+        # six windows say test or Test, the rest nothing: once redrawn without a word
+        (lambda i, k: "test" if i in (2, 5, 8) else "Test" if i in (12, 15, 18) else "", "af00"),
+        (lambda i, k: "Test" if i == 13 else _train_test(i, k), "ns03"),
+        (lambda i, k: ("train", "test")[k] if i == 11 else _train_test(i, k), "ns01"),
+        (lambda i, k: "" if (i, k) == (4, 1) else _train_test(i, k), "af04"),
+    ], ids=["partial", "misspelt", "train_and_test", "one_row_blank"])
+    def test_other_splits_are_refused(self, tmp_path, split, window):
+        with pytest.raises(FormatError, match=f"window '{window}' has split"):
+            stage_eval(PipelineConfig(out_dir=str(tmp_path / "o")), table=_given_split(split))
+        assert not (tmp_path / "o").exists()
+
+
 def _stratified_split_lists(table, train_frac, rng_seed):
     """stratified_split as it was, over lists; returns the split column."""
     window_label = {}

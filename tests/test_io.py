@@ -1,5 +1,7 @@
+import gc
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +106,15 @@ class TestCsvFormat:
         p.write_bytes(b"# fs=200\n0.1\n\xff\xfe0.2\n")
         with pytest.raises(FormatError, match="UTF-8"):
             load_recording(p)
+
+    def test_load_leaves_no_file_open(self, tmp_path):
+        p = tmp_path / "r.csv"
+        _write_csv(p, [0.1, 0.2])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            load_recording(p)
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)], caught
 
     def test_csv_roundtrip(self, tmp_path):
         rec = EcgRecording(samples=np.sin(np.arange(100) * 0.3), fs=128.0,

@@ -1,10 +1,13 @@
-"""Window accounting of ``stage_extract`` over random annotation layouts, and
-the artifacts' invariance to the order, units and polarity of recordings."""
+"""Window accounting of ``stage_extract`` over random annotation layouts,
+the artifacts' invariance to the order, units and polarity of recordings,
+and the config's defaults, which are its stages' defaults."""
 
 import functools
+import inspect
 import json
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,9 +15,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fwave.pipeline
-from fwave.dataio import EcgRecording, RhythmAnnotation, write_annotations, write_recording
+from fwave.dataio import (EcgRecording, RhythmAnnotation, extract_af_windows, write_annotations,
+                          write_recording)
 from fwave.errors import ConfigError
+from fwave.evaluate import train_rf
 from fwave.pipeline import PipelineConfig, stage_daf, stage_extract
+from fwave.preprocess import compute_bsqi
+from fwave.spectral import welch_psd
 from fwave.synth import SynthConfig, generate
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -129,7 +136,7 @@ def _artifacts(out_dir, recordings):
     stage_extract(cfg)
     stage_daf(cfg)
     names = ("windows.json", "exclusions.json", "daf.csv")
-    return {name: open(os.path.join(out_dir, name), "rb").read() for name in names}
+    return {name: Path(out_dir, name).read_bytes() for name in names}
 
 
 @given(st.lists(_LAYOUT, min_size=2, max_size=3), st.data())
@@ -164,3 +171,23 @@ def test_non_data_errors_are_not_window_exclusions(tmp_path, monkeypatch, error)
     with pytest.raises(type(error), match=str(error)):
         stage_extract(_config(str(tmp_path / "out"), recordings))
     assert not (tmp_path / "out" / "exclusions.json").exists()
+
+
+def test_config_defaults_are_the_stage_defaults():
+    """PipelineConfig() keeps its defaults, and each is the default of the
+    stage function that applies it, which the acceptance criteria call
+    directly (``compute_bsqi(x, fs)``, ``welch_psd(x, fs)``)."""
+    stages = {
+        "bsqi_threshold": (compute_bsqi, "threshold"),
+        "bsqi_segment_s": (compute_bsqi, "segment_s"),
+        "bsqi_match_tol_ms": (compute_bsqi, "match_tol_ms"),
+        "window_s": (extract_af_windows, "window_s"),
+        "min_event_s": (extract_af_windows, "min_event_s"),
+        "welch_seg_s": (welch_psd, "seg_s"),
+        "welch_overlap": (welch_psd, "overlap"),
+        "rf_max_depth": (train_rf, "max_depth"),
+    }
+    cfg = PipelineConfig()
+    assert [getattr(cfg, key) for key in stages] == [0.8, 10.0, 150.0, 60.0, 30.0, 10.0, 0.5, 4]
+    for key, (fn, name) in stages.items():
+        assert getattr(cfg, key) == inspect.signature(fn).parameters[name].default, key
