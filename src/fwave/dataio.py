@@ -25,6 +25,7 @@ from .errors import FormatError
 BINARY_MAGIC = b"FWK1"
 BINARY_DTYPE = "<f8"
 LEGACY_DTYPE = "<f4"  # what .fwk headers without a dtype key hold
+DEFAULT_WINDOW_S = 60.0  # analysis window length, for AF and non-AF windows alike
 
 
 @dataclass
@@ -82,29 +83,34 @@ def load_recording(path, fmt=None) -> EcgRecording:
         return _load_binary(fh, path)
 
 
+_CSV_CHUNK = 1 << 20  # characters of lines the CSV reader parses at a time
+
+
 def _load_csv(text, path) -> EcgRecording:
-    """Read the CSV format from the text stream ``text`` of ``path``."""
+    """Read the CSV format from the text stream ``text`` of ``path``,
+    about ``_CSV_CHUNK`` characters of lines at a time. The header lines
+    that lead a chunk go through ``_csv_lines``; the rest of the chunk is
+    parsed in one call, and goes line by line only if that fails (a
+    header, a blank line, a bad or non-finite sample), so an error names
+    its line."""
     meta = {}
-    values = []
+    parts = []
+    lineno = 0
     try:
-        for lineno, line in enumerate(text, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if "=" not in body:
-                    raise FormatError(f"{path}:{lineno}: malformed header line {line!r}")
-                key, val = body.split("=", 1)
-                meta[key.strip()] = val.strip()
-                continue
+        for lines in iter(lambda: text.readlines(_CSV_CHUNK), []):
+            head = 0
+            while head < len(lines) and lines[head].lstrip().startswith("#"):
+                head += 1
+            _csv_lines(lines[:head], lineno, meta, path)
             try:
-                v = float(line)
+                values = np.fromiter(map(float, lines[head:]), np.float64, len(lines) - head)
+                ok = np.isfinite(values).all()
             except ValueError:
-                raise FormatError(f"{path}:{lineno}: not a number: {line!r}") from None
-            if not np.isfinite(v):
-                raise FormatError(f"{path}:{lineno}: non-finite sample {line!r}")
-            values.append(v)
+                ok = False
+            if not ok:
+                values = np.array(_csv_lines(lines[head:], lineno + head, meta, path))
+            parts.append(values)
+            lineno += len(lines)
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text: {exc}") from None
     if "fs" not in meta:
@@ -115,14 +121,39 @@ def _load_csv(text, path) -> EcgRecording:
         raise FormatError(f"{path}: fs header is not a number: {meta['fs']!r}") from None
     if not 0 < fs < np.inf:
         raise FormatError(f"{path}: fs must be positive and finite, got {fs}")
-    if not values:
+    if not sum(map(len, parts)):
         raise FormatError(f"{path}: no samples")
     return EcgRecording(
-        samples=np.array(values),
+        samples=np.concatenate(parts),
         fs=fs,
         lead_name=meta.get("lead", "V1"),
         record_id=meta.get("record_id", "unknown"),
     )
+
+
+def _csv_lines(lines, lineno, meta, path) -> list:
+    """The samples of ``lines``, which follow line ``lineno`` of the CSV
+    ``path``, one line at a time; header lines go into ``meta``."""
+    values = []
+    for lineno, line in enumerate(lines, start=lineno + 1):
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line.lstrip("#").strip()
+            if "=" not in body:
+                raise FormatError(f"{path}:{lineno}: malformed header line {line!r}")
+            key, val = body.split("=", 1)
+            meta[key.strip()] = val.strip()
+            continue
+        try:
+            v = float(line)
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: not a number: {line!r}") from None
+        if not np.isfinite(v):
+            raise FormatError(f"{path}:{lineno}: non-finite sample {line!r}")
+        values.append(v)
+    return values
 
 
 def _load_binary(fh, path) -> EcgRecording:
@@ -222,7 +253,7 @@ def extract_af_windows(
     rec: EcgRecording,
     ann: RhythmAnnotation,
     min_event_s: float = 30.0,
-    window_s: float = 60.0,
+    window_s: float = DEFAULT_WINDOW_S,
 ):
     """One window per AF event long enough to hold it, anchored at onset.
 
@@ -250,7 +281,7 @@ def sample_nonaf_windows(
     ann: RhythmAnnotation,
     count: int,
     rng_seed: int | np.random.SeedSequence,
-    window_s: float = 60.0,
+    window_s: float = DEFAULT_WINDOW_S,
 ):
     """Up to ``count`` non-overlapping windows from non-AF regions.
 

@@ -13,11 +13,21 @@ subcommands) produces byte-identical artifacts to a monolithic run:
 Synth records (by default) and the per-window, per-method residuals in
 residuals/{window_id}__{method}.fwk are binary float64 ``.fwk`` files,
 so nothing is rounded between stages; the process that extracts a
-window writes them. Each record is filtered whole, and a filter that
-cannot be applied raises ConfigError, as does a stage whose input is
-missing (e.g. ``daf`` before ``extract``: the message names the file and
-the stage that writes it) and a ``recordings`` entry naming no file
-(the message names the path and its config key). A manifest or
+window writes them.
+
+A run holds one record at a time. ``synth.generate_corpus`` returns an
+iterator, and ``synth`` writes each record and its truth file as soon
+as it is generated. ``extract`` first plans in the parent: it reads the
+manifest, or each recording and its annotation, draws the windows and
+event exclusions, and checks the window ids, keeping only paths and
+spans. Then one job per record (in a pool when ``workers > 1``) loads
+the record, filters it whole, once, and extracts its windows. So a
+``recordings`` file is read twice, by the plan and by its job, and a
+filter that cannot be applied raises ConfigError when the first job
+runs. A stage whose input is missing also raises ConfigError (e.g.
+``daf`` before ``extract``: the message names the file and the stage
+that writes it), as does a ``recordings`` entry naming no file (the
+message names the path and its config key). A manifest or
 ``windows.json`` that is not what its stage writes raises FormatError,
 named the same way.
 
@@ -304,7 +314,9 @@ def _read_list(path, stage, key, fields) -> dict:
 # --- stage: synth -----------------------------------------------------------
 
 def stage_synth(cfg: PipelineConfig) -> list:
-    """Generate the synthetic corpus and write records plus a manifest."""
+    """Generate the synthetic corpus and write records plus a manifest.
+    Each record and its truth file are written as soon as the record is
+    generated, so one record is held at a time."""
     if cfg.synth is None:
         return []
     corpus = synth.generate_corpus(**cfg.synth, rng_seed=cfg.seed)
@@ -312,8 +324,10 @@ def stage_synth(cfg: PipelineConfig) -> list:
     os.makedirs(rec_dir, exist_ok=True)
     ext = "csv" if cfg.record_format == "csv" else "fwk"
     manifest = []
-    for i, (truth, label) in enumerate(corpus):
-        rid = f"synth{i:04d}"
+    # no enumerate: its reused result tuple would hold the last record
+    # while the next one is generated
+    for truth, label in corpus:
+        rid = f"synth{len(manifest):04d}"
         rec = dataio.EcgRecording(
             samples=truth.ecg, fs=truth.fs, lead_name="synthV1", record_id=rid
         )
@@ -332,6 +346,7 @@ def stage_synth(cfg: PipelineConfig) -> list:
         manifest.append(
             {"id": rid, "label": label, "path": f"{rid}.{ext}", "truth": f"{rid}.truth.json"}
         )
+        del truth, rec  # let the record go before the next one is generated
     with open(os.path.join(rec_dir, "manifest.json"), "w") as fh:
         json.dump({"records": manifest}, fh, indent=1)
     return manifest
@@ -339,17 +354,56 @@ def stage_synth(cfg: PipelineConfig) -> list:
 
 # --- stage: extract ---------------------------------------------------------
 
-def _window_jobs(cfg: PipelineConfig):
-    """List (window_id, samples, fs, label) for every candidate window,
-    plus a ledger of event-level exclusions. Every record is filtered
-    whole, here; a synth or manifest record is a single window."""
+def _recording_windows(cfg: PipelineConfig, i: int, item: dict):
+    """The windows of ``recordings[i]`` as (window_id, start, end, label)
+    spans, and its event-level exclusions. The recording is loaded for
+    its record id and length and dropped on return."""
+    for key in ("recording", "annotation"):
+        path = item.get(key)
+        if not isinstance(path, str) or not os.path.isfile(path):
+            raise ConfigError(f"missing {path}: named by config key recordings[{i}].{key}")
+    rec = dataio.load_recording(item["recording"])
+    if _names_no_file(rec.record_id):
+        raise FormatError(f"{item['recording']}: record_id {rec.record_id!r} "
+                          "cannot name a file")
+    ann = dataio.load_annotations(item["annotation"])
+    af, short = dataio.extract_af_windows(rec, ann, cfg.min_event_s, cfg.window_s)
+    events = [
+        {
+            "record_id": rec.record_id,
+            "onset": int(onset),
+            "offset": int(offset),
+            "reason": "af_event_shorter_than_window",
+        }
+        for onset, offset in short
+    ]
+    # seeded by record id: equal layouts draw different non-AF slots,
+    # and the draws do not depend on the order of recordings
+    seed = np.random.SeedSequence([cfg.seed, zlib.crc32(rec.record_id.encode())])
+    nonaf, shortfall = dataio.sample_nonaf_windows(
+        rec, ann, count=len(af), rng_seed=seed, window_s=cfg.window_s
+    )
+    if shortfall:
+        events.append(
+            {
+                "record_id": rec.record_id,
+                "reason": "insufficient_nonaf_duration",
+                "missing_windows": shortfall,
+            }
+        )
+    windows = [(f"{rec.record_id}_w{start:09d}", start, end, label)
+               for spans, label in ((af, "AF"), (nonaf, "non-AF")) for start, end in spans]
+    return windows, events
+
+
+def _record_jobs(cfg: PipelineConfig):
+    """Plan the extraction: list (record path, windows) per record, each
+    window a (window_id, start, end, label) span of the record, plus a
+    ledger of event-level exclusions. A synth or manifest record is one
+    window, to its end (``end`` None). Window ids are checked here,
+    before any file is written."""
     jobs = []
     event_exclusions = []
-
-    def add(rec, windows):  # windows: (window_id, start, end, label)
-        x = prefilter(rec.samples, rec.fs, cfg.filter)
-        jobs.extend((wid, x[start:end], rec.fs, label) for wid, start, end, label in windows)
-
     if cfg.synth is not None or not cfg.recordings:
         manifest_path = _path(cfg, "records", "manifest.json")
         manifest = _read_list(manifest_path, "synth", "records",
@@ -359,54 +413,33 @@ def _window_jobs(cfg: PipelineConfig):
             rec_path = _path(cfg, "records", name)
             if os.path.basename(name) != name or not os.path.isfile(rec_path):
                 raise _malformed(manifest_path, "synth", f"path {name!r} names no file in records/")
-            rec = dataio.load_recording(rec_path)
-            add(rec, [(entry["id"], 0, len(rec.samples), entry["label"])])
+            jobs.append((rec_path, [(entry["id"], 0, None, entry["label"])]))
     for i, item in enumerate(cfg.recordings):
-        for key in ("recording", "annotation"):
-            path = item.get(key)
-            if not isinstance(path, str) or not os.path.isfile(path):
-                raise ConfigError(f"missing {path}: named by config key recordings[{i}].{key}")
-        rec = dataio.load_recording(item["recording"])
-        if _names_no_file(rec.record_id):
-            raise FormatError(f"{item['recording']}: record_id {rec.record_id!r} "
-                              "cannot name a file")
-        ann = dataio.load_annotations(item["annotation"])
-        af, short = dataio.extract_af_windows(rec, ann, cfg.min_event_s, cfg.window_s)
-        for onset, offset in short:
-            event_exclusions.append(
-                {
-                    "record_id": rec.record_id,
-                    "onset": int(onset),
-                    "offset": int(offset),
-                    "reason": "af_event_shorter_than_window",
-                }
-            )
-        # seeded by record id: equal layouts draw different non-AF slots,
-        # and the draws do not depend on the order of recordings
-        seed = np.random.SeedSequence([cfg.seed, zlib.crc32(rec.record_id.encode())])
-        nonaf, shortfall = dataio.sample_nonaf_windows(
-            rec, ann, count=len(af), rng_seed=seed, window_s=cfg.window_s
-        )
-        if shortfall:
-            event_exclusions.append(
-                {
-                    "record_id": rec.record_id,
-                    "reason": "insufficient_nonaf_duration",
-                    "missing_windows": shortfall,
-                }
-            )
-        add(rec, [(f"{rec.record_id}_w{start:09d}", start, end, label)
-                  for spans, label in ((af, "AF"), (nonaf, "non-AF")) for start, end in spans])
+        windows, events = _recording_windows(cfg, i, item)
+        jobs.append((item["recording"], windows))
+        event_exclusions.extend(events)
     seen = set()
-    for wid, *_ in jobs:
-        if wid in seen:
-            # residual files are named by window id and would overwrite each other
-            raise ConfigError(
-                f"window id {wid!r} occurs twice; give every recording a distinct record_id"
-            )
-        seen.add(wid)
+    for _, windows in jobs:
+        for wid, *_ in windows:
+            if wid in seen:
+                # residual files are named by window id and would overwrite each other
+                raise ConfigError(
+                    f"window id {wid!r} occurs twice; give every recording a distinct record_id"
+                )
+            seen.add(wid)
     event_exclusions.sort(key=lambda e: e["record_id"])
     return jobs, event_exclusions
+
+
+def _extract_record(args):
+    """One record's job: load it, filter it whole, once (a filter that
+    cannot be applied raises ConfigError here), and run ``_process_window``
+    on each of its windows. Returns their ledger rows."""
+    path, windows, cfg = args
+    rec = dataio.load_recording(path)
+    x = prefilter(rec.samples, rec.fs, cfg.filter)
+    return [_process_window((wid, x[start:end], rec.fs, label, cfg))
+            for wid, start, end, label in windows]
 
 
 def _process_window(args):
@@ -449,17 +482,18 @@ def _process_window(args):
 
 
 def stage_extract(cfg: PipelineConfig) -> dict:
-    """Gate and extract every candidate window, then write the ledger."""
-    jobs, event_exclusions = _window_jobs(cfg)
+    """Gate and extract every candidate window, one record per job, then
+    write the ledger."""
+    jobs, event_exclusions = _record_jobs(cfg)
     os.makedirs(_path(cfg, "residuals"), exist_ok=True)
     if cfg.dump_beats:
         os.makedirs(_path(cfg, "beats"), exist_ok=True)
     work = [(*job, cfg) for job in jobs]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            rows = list(pool.map(_process_window, work, chunksize=4))
+            rows = [row for rows in pool.map(_extract_record, work) for row in rows]
     else:
-        rows = [_process_window(w) for w in work]
+        rows = [row for w in work for row in _extract_record(w)]
     rows.sort(key=lambda r: r["window_id"])
     windows = [r for r in rows if "excluded" not in r]
     window_exclusions = [

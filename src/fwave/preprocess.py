@@ -129,14 +129,20 @@ def _block_operators(a):
     for i in range(1, _BLOCK):
         h.append(-sum(a[k] * h[i - k] for k in range(1, min(i, p) + 1)))
     h = np.array(h)
-    lag = np.subtract.outer(np.arange(_BLOCK), np.arange(_BLOCK))
-    impulse = np.where(lag >= 0, h[np.maximum(lag, 0)], 0)
+    # row j of the transposed impulse matrix is h delayed by j samples: a
+    # view of h behind _BLOCK - 1 zeros, its windows taken last first
+    padded = np.concatenate((np.zeros(_BLOCK - 1, dtype=np.longdouble), h))
+    impulse_t = np.lib.stride_tricks.sliding_window_view(padded, _BLOCK)[::-1]
     # the outputs before the block enter its first p samples as a forcing
     forcing = np.zeros((p, p), dtype=np.longdouble)
     for i in range(p):
         forcing[i, :p - i] = -a[i + 1:]
-    state = impulse[:, :p] @ forcing
-    return h, impulse.T.astype(np.float64), state.astype(np.float64), state[::-1][:p].copy()
+    state = impulse_t[:p].T @ forcing
+    # F order, as the transpose of a C-order matrix was: another layout
+    # sends the block product down another BLAS path, which may round
+    # differently
+    return (h, impulse_t.astype(np.float64, order="F"), state.astype(np.float64),
+            state[::-1][:p].copy())
 
 
 def _solve(b, a, x, zi):

@@ -92,8 +92,14 @@ def welch_psd(
     hop = nperseg - noverlap
     # the (len(x) - noverlap) // hop whole segments scipy takes, as one view
     segs = np.lib.stride_tricks.sliding_window_view(x, nperseg)[::hop]
-    spec = np.fft.rfft(segs * win, n=nfft, axis=-1)
-    power = spec.real**2 + spec.imag**2
+    # squared in place, in the spectrum's own (re, im) pairs: re**2 + im**2
+    # with no spectrum-sized temporary, which keeps a call's peak heap use
+    # under what glibc's malloc hands back to the system (trims) on free,
+    # so repeated calls do not fault their pages in again
+    spec = np.fft.rfft(segs * win, n=nfft, axis=-1).view(np.float64)
+    spec *= spec
+    power = spec[:, 0::2] + spec[:, 1::2]
+    del spec
     power[:, 1:-1 if nfft % 2 == 0 else None] *= 2  # one-sided: fold the negative bins
     # mean over segments along a C-order (frequency x segment) array, the
     # layout scipy sums, so the additions run in the same order

@@ -225,17 +225,19 @@ def generate_corpus(
 ):
     """Labeled corpus of 60 s records: AF with f-waves, sinus without.
 
-    Returns a list of (SynthTruth, label) with label in {"AF", "non-AF"}.
-    Per-record seeds are derived from rng_seed, so the corpus is
-    reproducible and records are independent.
+    Returns an iterator of (SynthTruth, label) with label in {"AF",
+    "non-AF"}, AF records first. The arguments are checked and every
+    record's settings drawn at the call; each record is generated when
+    the iterator reaches it, so a caller that lets each record go holds
+    one at a time. Per-record seeds are derived from rng_seed, so the
+    corpus is reproducible and records are independent.
     """
     check_corpus(n_af, n_sinus, fs, duration_s)
     seq = np.random.SeedSequence(rng_seed)
     children = seq.spawn(n_af + n_sinus)
     master = np.random.default_rng(seq.spawn(1)[0])
-    out = []
-    for i, af in enumerate([True] * n_af + [False] * n_sinus):
-        cfg = SynthConfig(
+    configs = [
+        SynthConfig(
             fs=fs,
             duration_s=duration_s,
             rhythm="AF" if af else "sinus",
@@ -247,5 +249,6 @@ def generate_corpus(
             artifact_rms_mv=artifact_rms_mv,
             rng_seed=children[i].generate_state(1)[0],
         )
-        out.append((generate(cfg), "AF" if af else "non-AF"))
-    return out
+        for i, af in enumerate([True] * n_af + [False] * n_sinus)
+    ]
+    return ((generate(cfg), "AF" if cfg.rhythm == "AF" else "non-AF") for cfg in configs)

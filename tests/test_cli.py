@@ -18,7 +18,7 @@ import fwave.pipeline
 from fwave.cli import _build_parser, main
 from fwave.dataio import EcgRecording, load_recording, write_recording
 from fwave.errors import ConfigError
-from fwave.pipeline import PipelineConfig, _window_jobs
+from fwave.pipeline import PipelineConfig, _record_jobs
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -471,8 +471,9 @@ class TestStaleManifest:
                                         {"onset": 65 * fs, "offset": 130 * fs, "label": "non-AF"}]))
         cfg = PipelineConfig.from_dict({"out_dir": str(tmp_path / "out"), "recordings": [
             {"recording": str(rec_path), "annotation": str(ann_path)}]})
-        jobs, _ = _window_jobs(cfg)
-        assert [wid for wid, *_ in jobs] == ["hol0_w000000000", "hol0_w000013000"]
+        jobs, _ = _record_jobs(cfg)
+        assert [wid for _, windows in jobs for wid, *_ in windows] == [
+            "hol0_w000000000", "hol0_w000013000"]
 
 
 class TestNonAfDraws:
@@ -497,9 +498,9 @@ class TestNonAfDraws:
         cfg = PipelineConfig.from_dict(
             {"out_dir": str(tmp_path / "out"), "seed": seed, "recordings": recordings}
         )
-        jobs, _ = _window_jobs(cfg)
+        jobs, _ = _record_jobs(cfg)
         starts = {"rec0": [], "rec1": []}
-        for wid, _, _, label in jobs:
+        for wid, _, _, label in (w for _, windows in jobs for w in windows):
             if label == "non-AF":
                 rid, start = wid.split("_w")
                 starts[rid].append(int(start))

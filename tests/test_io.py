@@ -127,6 +127,49 @@ class TestCsvFormat:
         np.testing.assert_allclose(back.samples, rec.samples, rtol=1e-8)
 
 
+class TestCsvChunks:
+    """The reader parses about ``_CSV_CHUNK`` characters of lines at a
+    time; what it returns or raises is what one loop over the lines
+    (``_csv_lines``, which names each error's line) returns or raises."""
+
+    @pytest.mark.parametrize("bad, message", [("hello", "not a number: 'hello'"),
+                                              ("nan", "non-finite sample 'nan'")])
+    def test_bad_sample_after_the_first_chunk(self, tmp_path, bad, message):
+        # 12-character lines: a 1 MiB chunk holds about 87,000 of them
+        lines = ["# fs=200"] + ["0.123456789"] * 200_000
+        lines[150_000] = bad
+        p = tmp_path / "r.csv"
+        p.write_text("\n".join(lines) + "\n")
+        assert p.stat().st_size > 2 * fwave.dataio._CSV_CHUNK
+        with pytest.raises(FormatError, match=f"r.csv:150001: {message}$"):
+            load_recording(p)
+
+    @given(st.lists(st.sampled_from(["0.5", "-1e-3", "  7 ", "", "# lead=II", "# late = x",
+                                     "1_0", "nan", "inf", "x", "#", "# fs=100"]), max_size=40),
+           st.integers(1, 48))
+    @settings(max_examples=300, deadline=None)
+    def test_same_as_the_line_loop(self, tmp_path_factory, body, chunk):
+        p = tmp_path_factory.mktemp("csv") / "r.csv"
+        p.write_text("# fs=200\n" + "".join(line + "\n" for line in body))
+        try:
+            meta = {}
+            with open(p, encoding="utf-8") as fh:
+                want = fwave.dataio._csv_lines(fh.readlines(), 0, meta, str(p))
+            if not want:
+                raise FormatError(f"{p}: no samples")
+        except FormatError as exc:
+            want = str(exc)
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(fwave.dataio, "_CSV_CHUNK", chunk)
+                rec = load_recording(p)
+        except FormatError as exc:
+            assert str(exc) == want
+        else:
+            assert rec.samples.tobytes() == np.array(want).tobytes()
+            assert (rec.fs, rec.lead_name) == (float(meta["fs"]), meta.get("lead", "V1"))
+
+
 class TestBinaryFormat:
     def test_roundtrip_bit_exact(self, tmp_path):
         # float32 storage: write what float32 can hold exactly

@@ -1,12 +1,14 @@
 """Window accounting of ``stage_extract`` over random annotation layouts,
 the artifacts' invariance to the order, units and polarity of recordings,
-and the config's defaults, which are its stages' defaults."""
+the one record a stage holds at a time, and the config's defaults, which
+are its stages' defaults."""
 
 import functools
 import inspect
 import json
 import os
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -15,11 +17,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fwave.pipeline
-from fwave.dataio import (EcgRecording, RhythmAnnotation, extract_af_windows, write_annotations,
-                          write_recording)
+import fwave.synth
+from fwave.dataio import (EcgRecording, RhythmAnnotation, extract_af_windows,
+                          sample_nonaf_windows, write_annotations, write_recording)
 from fwave.errors import ConfigError
 from fwave.evaluate import train_rf
-from fwave.pipeline import PipelineConfig, stage_daf, stage_extract
+from fwave.pipeline import PipelineConfig, stage_daf, stage_extract, stage_synth
 from fwave.preprocess import compute_bsqi
 from fwave.spectral import welch_psd
 from fwave.synth import SynthConfig, generate
@@ -173,6 +176,49 @@ def test_non_data_errors_are_not_window_exclusions(tmp_path, monkeypatch, error)
     assert not (tmp_path / "out" / "exclusions.json").exists()
 
 
+def _one_at_a_time(monkeypatch, module, name):
+    """Wrap ``module.name`` so that each call first asserts that no
+    earlier call's result is still alive; return the weakrefs to them.
+    An array result is alive while the array that owns its memory is:
+    a view of it (a window) keeps that owner, not the result, alive."""
+    refs = []
+    orig = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        held = sum(r() is not None for r in refs)
+        assert not held, f"{held} earlier result(s) of {name} still held"
+        result = owner = orig(*args, **kwargs)
+        while isinstance(getattr(owner, "base", None), np.ndarray):
+            owner = owner.base
+        refs.append(weakref.ref(owner))
+        return result
+
+    monkeypatch.setattr(module, name, wrapper)
+    return refs
+
+
+def test_stage_synth_holds_one_record(tmp_path, monkeypatch):
+    refs = _one_at_a_time(monkeypatch, fwave.synth, "generate")
+    stage_synth(PipelineConfig(out_dir=str(tmp_path),
+                               synth={"n_af": 2, "n_sinus": 2, "duration_s": 12.0}))
+    assert len(refs) == 4
+    assert len(os.listdir(tmp_path / "records")) == 2 * 4 + 1
+
+
+@pytest.mark.parametrize("source", ["synth", "recordings"])
+def test_stage_extract_filters_one_record_at_a_time(tmp_path, monkeypatch, source):
+    if source == "synth":
+        cfg = PipelineConfig(out_dir=str(tmp_path / "out"), extractors=EXTRACTORS,
+                             synth={"n_af": 2, "n_sinus": 2, "duration_s": 12.0})
+        stage_synth(cfg)
+    else:
+        layout = [("AF", 20, False), ("non-AF", 25, False)]
+        cfg = _config(str(tmp_path / "out"), _write_recordings(str(tmp_path), [layout] * 3)[0])
+    refs = _one_at_a_time(monkeypatch, fwave.pipeline, "prefilter")
+    stage_extract(cfg)
+    assert len(refs) == (4 if source == "synth" else 3)
+
+
 def test_config_defaults_are_the_stage_defaults():
     """PipelineConfig() keeps its defaults, and each is the default of the
     stage function that applies it, which the acceptance criteria call
@@ -191,3 +237,5 @@ def test_config_defaults_are_the_stage_defaults():
     assert [getattr(cfg, key) for key in stages] == [0.8, 10.0, 150.0, 60.0, 30.0, 10.0, 0.5, 4]
     for key, (fn, name) in stages.items():
         assert getattr(cfg, key) == inspect.signature(fn).parameters[name].default, key
+    # the non-AF windows take the AF windows' length when none is given
+    assert inspect.signature(sample_nonaf_windows).parameters["window_s"].default == cfg.window_s

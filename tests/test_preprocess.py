@@ -193,6 +193,51 @@ def _stable_filter(draw):
     return b, a
 
 
+def _block_operators_gather(a):
+    """The oracle: ``preprocess._block_operators`` built as it was, with a
+    gather into the full lower-triangular impulse matrix and a lag matrix."""
+    p = len(a) - 1
+    a = np.array(a, dtype=np.longdouble)
+    h = [np.longdouble(1.0)]
+    for i in range(1, _BLOCK):
+        h.append(-sum(a[k] * h[i - k] for k in range(1, min(i, p) + 1)))
+    h = np.array(h)
+    lag = np.subtract.outer(np.arange(_BLOCK), np.arange(_BLOCK))
+    impulse = np.where(lag >= 0, h[np.maximum(lag, 0)], 0)
+    forcing = np.zeros((p, p), dtype=np.longdouble)
+    for i in range(p):
+        forcing[i, :p - i] = -a[i + 1:]
+    state = impulse[:, :p] @ forcing
+    return h, impulse.T.astype(np.float64), state.astype(np.float64), state[::-1][:p].copy()
+
+
+class TestBlockOperators:
+    """The block operators are the gathered construction's, value for
+    value (signed zeros included), with its dtypes, shapes and strides,
+    so the block product sees the same memory layout."""
+
+    @staticmethod
+    def _identical(ours, theirs):
+        # longdouble bytes hold padding, so compare values and sign bits
+        return (ours.dtype == theirs.dtype and ours.shape == theirs.shape
+                and ours.strides == theirs.strides and np.array_equal(ours, theirs)
+                and np.array_equal(np.signbit(ours), np.signbit(theirs)))
+
+    @given(_stable_filter())
+    @example(butter1([0.67, 90.0], 200.0))
+    @example(iirnotch(60.0, 30.0, 200.0))
+    @example(butter1(1.0, 200.0))
+    @settings(max_examples=100, deadline=None)
+    def test_same_as_the_gather(self, ba):
+        _, a = ba
+        a = tuple((np.asarray(a, dtype=np.float64) / a[0]).tolist())
+        ours = fwave.preprocess._block_operators.__wrapped__(a)
+        theirs = _block_operators_gather(a)
+        assert len(ours) == len(theirs)
+        assert all(self._identical(o, t) for o, t in zip(ours, theirs))
+        assert ours[1].flags.f_contiguous
+
+
 class TestRecursionMatchesScipy:
     """lfilter and filtfilt agree with scipy.signal's to 1e-12 relative."""
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fwave.synth
 from fwave.errors import ConfigError
 from fwave.synth import (
     _P_BUMP,
@@ -163,7 +164,7 @@ class TestConfigValidation:
 
 class TestCorpus:
     def test_counts_and_labels(self):
-        corpus = generate_corpus(3, 2, rng_seed=0)
+        corpus = list(generate_corpus(3, 2, rng_seed=0))
         assert len(corpus) == 5
         labels = [lab for _, lab in corpus]
         assert labels == ["AF"] * 3 + ["non-AF"] * 2
@@ -172,19 +173,19 @@ class TestCorpus:
             assert (truth.daf_true is not None) == (lab == "AF")
 
     def test_f0_range_respected(self):
-        corpus = generate_corpus(10, 0, f0_range=(6.0, 8.0), rng_seed=1)
+        corpus = list(generate_corpus(10, 0, f0_range=(6.0, 8.0), rng_seed=1))
         for truth, _ in corpus:
             assert 6.0 <= truth.daf_true <= 8.0
 
     def test_deterministic_and_records_independent(self):
-        a = generate_corpus(2, 2, rng_seed=7)
-        b = generate_corpus(2, 2, rng_seed=7)
+        a = list(generate_corpus(2, 2, rng_seed=7))
+        b = list(generate_corpus(2, 2, rng_seed=7))
         for (ta, _), (tb, _) in zip(a, b):
             assert np.array_equal(ta.ecg, tb.ecg)
         assert not np.array_equal(a[0][0].ecg, a[1][0].ecg)
 
     def test_default_amplitudes_track_r_amplitude(self):
-        corpus = generate_corpus(1, 0, rng_seed=0)
+        corpus = list(generate_corpus(1, 0, rng_seed=0))
         truth = corpus[0][0]
         # f-wave amplitude defaults to 10% of the R amplitude
         assert np.max(np.abs(truth.clean_fwave)) <= 1.3 * 0.1 * R_AMPLITUDE_MV * (1 + 0.5 + 1 / 3)
@@ -192,3 +193,12 @@ class TestCorpus:
     def test_rejects_empty_corpus(self):
         with pytest.raises(ConfigError):
             generate_corpus(0, 0)
+
+    def test_generates_each_record_when_reached(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(fwave.synth, "generate", lambda cfg: calls.append(cfg) or cfg)
+        corpus = generate_corpus(2, 1, rng_seed=3)
+        assert calls == []
+        next(corpus)
+        assert len(calls) == 1
+        assert [label for _, label in corpus] == ["AF", "non-AF"] and len(calls) == 3
