@@ -19,6 +19,7 @@ REFRACTORY_S = 0.2  # 300 bpm ceiling
 INTEG_WINDOW_S = 0.150
 KERNEL_HALF_S = 0.060
 SEARCHBACK_S = 1.2  # gap without a beat that triggers half-threshold searchback
+MIN_SIGNAL_S = 5.0  # the shortest signal the energy detector takes
 
 
 def _odd(w: int) -> int:
@@ -130,8 +131,10 @@ def _refine(score, raw, half: int, min_dist: int) -> np.ndarray:
 def detect_r_peaks_energy(x, fs: float) -> np.ndarray:
     """Energy-based detector with adaptive threshold, 200 ms refractory."""
     x = np.asarray(x, dtype=np.float64)
-    if len(x) < 5 * fs:
-        raise SignalTooShortError(f"need at least 5 s of signal, got {len(x) / fs:.1f} s")
+    if len(x) < MIN_SIGNAL_S * fs:
+        raise SignalTooShortError(
+            f"need at least {MIN_SIGNAL_S:g} s of signal, got {len(x) / fs:.1f} s"
+        )
     d = np.diff(x, prepend=x[0])
     feat = moving_average(d * d, _odd(int(round(INTEG_WINDOW_S * fs))))
     return _refine(x * x, _scan(feat, fs), int(round(0.100 * fs)), int(round(REFRACTORY_S * fs)))

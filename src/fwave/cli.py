@@ -11,7 +11,7 @@ import json
 import os
 import sys
 
-from . import pipeline
+from . import dataio, pipeline
 from .errors import ConfigError, FwaveError, NoUsableWindowsError
 
 
@@ -38,7 +38,7 @@ def _build_parser() -> argparse.ArgumentParser:
     syn.add_argument("--n-sinus", type=int, help="number of sinus records")
     syn.add_argument("--f0-min", type=float, help="lower f-wave fundamental bound (Hz)")
     syn.add_argument("--f0-max", type=float, help="upper f-wave fundamental bound (Hz)")
-    syn.add_argument("--format", choices=("csv", "binary"), help="record file format")
+    syn.add_argument("--format", choices=tuple(dataio.FORMATS), help="record file format")
 
     ext = sub.add_parser("extract", parents=[windowed],
                          help="quality-gate windows and extract f-waves")

@@ -22,6 +22,8 @@ import numpy as np
 
 from .errors import FormatError
 
+FORMATS = {"csv": "csv", "binary": "fwk"}  # record format: its file extension
+LABELS = ("AF", "non-AF")  # the rhythm labels, AF (the positive class) first
 BINARY_MAGIC = b"FWK1"
 BINARY_DTYPE = "<f8"
 LEGACY_DTYPE = "<f4"  # what .fwk headers without a dtype key hold
@@ -57,7 +59,7 @@ class RhythmAnnotation:
     def validate(self, n_samples: int) -> None:
         prev_off = 0
         for onset, offset, label in self.events:
-            if label not in ("AF", "non-AF"):
+            if label not in LABELS:
                 raise FormatError(f"unknown rhythm label {label!r}")
             if not 0 <= onset < offset <= n_samples:
                 raise FormatError(f"event ({onset}, {offset}) out of bounds")
@@ -66,21 +68,17 @@ class RhythmAnnotation:
             prev_off = offset
 
 
-def load_recording(path, fmt=None) -> EcgRecording:
-    """Load a recording; format inferred from the file magic unless given.
-    The file is opened once: the magic is sniffed on the handle that
-    reads it."""
+def load_recording(path) -> EcgRecording:
+    """Load a recording: binary if the file starts with the magic, CSV
+    otherwise. The file is opened once: the magic is sniffed on the
+    handle that reads it."""
     path = str(path)
-    if fmt not in (None, "csv", "binary"):
-        raise FormatError(f"unknown recording format {fmt!r}")
     with open(path, "rb") as fh:
-        if fmt is None:
-            fmt = "binary" if fh.read(4) == BINARY_MAGIC else "csv"
-            fh.seek(0)
-        if fmt == "csv":
-            with io.TextIOWrapper(fh, encoding="utf-8") as text:
-                return _load_csv(text, path)
-        return _load_binary(fh, path)
+        if fh.read(4) == BINARY_MAGIC:
+            return _load_binary(fh, path)
+        fh.seek(0)
+        with io.TextIOWrapper(fh, encoding="utf-8") as text:
+            return _load_csv(text, path)
 
 
 _CSV_CHUNK = 1 << 20  # characters of lines the CSV reader parses at a time
@@ -158,10 +156,7 @@ def _csv_lines(lines, lineno, meta, path) -> list:
 
 def _load_binary(fh, path) -> EcgRecording:
     """Read the binary format from the binary stream ``fh`` of ``path``,
-    at its start."""
-    magic = fh.read(4)
-    if magic != BINARY_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r} (offset 0)")
+    just past its magic."""
     raw = fh.read(4)
     if len(raw) != 4:
         raise FormatError(f"{path}: truncated header length (offset 4)")

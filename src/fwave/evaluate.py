@@ -31,10 +31,10 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from .dataio import LABELS
 from .errors import ConfigError, FormatError
 
-POSITIVE_LABEL = "AF"
-LABELS = (POSITIVE_LABEL, "non-AF")
+POSITIVE_LABEL = LABELS[0]
 DEFAULT_THRESHOLD = 0.5
 REQUIRED_COLUMNS = ("window_id", "method", "daf_hz", "label")
 
@@ -60,11 +60,9 @@ class FeatureTable:
         return len(self.window_ids)
 
     def select(self, method, split):
-        """The DAFs, AF indicators and window ids of ``method``'s rows in
-        ``split``."""
+        """The DAFs and AF indicators of ``method``'s rows in ``split``."""
         keep = (self.methods == method) & (self.split == split)
-        labels = (self.labels[keep] == POSITIVE_LABEL).astype(int)
-        return self.daf_hz[keep], labels, self.window_ids[keep]
+        return self.daf_hz[keep], (self.labels[keep] == POSITIVE_LABEL).astype(int)
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -352,7 +350,7 @@ def train_rf(
     bootstrap row indices (``bootstrap_draws`` of the method's training
     row count). A feature with a single value predicts the training AF
     fraction."""
-    x, y, _ = table.select(method=method, split="train")
+    x, y = table.select(method=method, split="train")
     if len(x) == 0:
         raise ConfigError(f"no training rows for method {method!r}")
     if draws.shape[1] != len(x):
@@ -396,7 +394,7 @@ def auroc_rank(scores, labels) -> float:
 
 def evaluate_model(model: RandomForestModel, table: FeatureTable) -> ClassifierMetrics:
     """F1 at the default probability threshold plus rank-statistic AUROC."""
-    x_test, y_test, _ = table.select(method=model.method, split="test")
+    x_test, y_test = table.select(method=model.method, split="test")
     if len(x_test) == 0:
         raise ConfigError(f"no test rows for method {model.method!r}")
     probs = predict_proba(model, x_test)
@@ -417,6 +415,4 @@ def evaluate_model(model: RandomForestModel, table: FeatureTable) -> ClassifierM
 
 def rank_methods(metrics: dict) -> list:
     """AUROC descending, F1 as tie-break, then method name."""
-    if len(metrics) < 2:
-        raise ConfigError("need metrics for at least two methods to rank")
     return sorted(metrics, key=lambda m: (-metrics[m].auroc, -metrics[m].f1, m))

@@ -54,7 +54,7 @@ from . import dataio, spectral, synth
 from .extract import DEFAULT_MIN_BEATS, METHODS, beat_matrix, segment_fiducials
 from .extract import extract as run_extractor
 # detect_r_peaks_energy is not called here; perfbench/tracing.py wraps it under this name
-from .beats import detect_r_peaks_energy  # noqa: F401
+from .beats import MIN_SIGNAL_S, detect_r_peaks_energy  # noqa: F401
 from .errors import (
     ConfigError,
     ExtractionError,
@@ -64,7 +64,6 @@ from .errors import (
     VotingError,
 )
 from .evaluate import (
-    LABELS,
     FeatureTable,
     bootstrap_draws,
     evaluate_model,
@@ -72,7 +71,7 @@ from .evaluate import (
     stratified_split,
     train_rf,
 )
-from .preprocess import FilterSpec, check_notch, compute_bsqi, prefilter
+from .preprocess import MIN_SEGMENT_S, FilterSpec, check_notch, compute_bsqi, prefilter
 
 # Published reference results from the clinical Holter study this
 # pipeline replicates (private dataset; NOT reproducible here).
@@ -176,13 +175,16 @@ class PipelineConfig:
                 value = tuple(value) if isinstance(value, list) else value  # JSON has no tuples
                 _check_type(f"synth.{key}", value, _SYNTH_PARAMS[key].annotation)
                 block[key] = value
-            f0, (lo, hi) = block["f0_range"], synth.F0_BAND_HZ
-            if not (len(f0) == 2 and all(_type_ok(f, float) and math.isfinite(f) for f in f0)
-                    and lo <= f0[0] <= f0[1] <= hi):
-                raise ConfigError("config key synth.f0_range must be two finite numbers "
-                                  f"[low, high] within [{lo:g}, {hi:g}] Hz")
-            synth.check_corpus(block["n_af"], block["n_sinus"], block["fs"], block["duration_s"])
+            synth.check_corpus(block["n_af"], block["n_sinus"], block["f0_range"], block["fs"],
+                               block["duration_s"])
             self.synth = block
+        for i, item in enumerate(self.recordings):
+            _check_type(f"recordings[{i}]", item, dict)
+            unknown = [key for key in item if key not in ("recording", "annotation")]
+            if unknown:
+                raise ConfigError(f"unknown config keys in recordings[{i}]: {unknown}")
+            for key in ("recording", "annotation"):
+                _check_type(f"recordings[{i}].{key}", item.get(key), str)
         for m in self.extractors:
             if m not in METHODS:
                 raise ConfigError(f"unknown extractor {m!r}")
@@ -196,13 +198,12 @@ class PipelineConfig:
                 raise ConfigError(f"{key} names no method")
             if names is not None and len(set(names)) < len(names):
                 raise ConfigError(f"{key} names a method twice: {list(names)}")
-        if not self.window_s >= 5:
-            # the R-peak detector needs 5 s of signal
-            raise ConfigError("window_s must be at least 5 s")
+        if not self.window_s >= MIN_SIGNAL_S:  # the R-peak detector's floor
+            raise ConfigError(f"window_s must be at least {MIN_SIGNAL_S:g} s")
         if not 0 <= self.bsqi_threshold <= 1:
             raise ConfigError("bsqi_threshold must lie in [0, 1]")
-        if self.bsqi_segment_s < 5:
-            raise ConfigError("bsqi_segment_s must be at least 5 s")
+        if self.bsqi_segment_s < MIN_SEGMENT_S:
+            raise ConfigError(f"bsqi_segment_s must be at least {MIN_SEGMENT_S:g} s")
         if not self.bsqi_match_tol_ms >= 0:
             raise ConfigError("bsqi_match_tol_ms must be >= 0")
         if not 0 < self.welch_seg_s:
@@ -226,7 +227,7 @@ class PipelineConfig:
                 raise ConfigError(f"{key} must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        if self.record_format not in ("csv", "binary"):
+        if self.record_format not in dataio.FORMATS:
             raise ConfigError(f"unknown record format {self.record_format!r}")
 
     @classmethod
@@ -252,6 +253,10 @@ class PipelineConfig:
 
 def _path(cfg, *parts) -> str:
     return os.path.join(cfg.out_dir, *parts)
+
+
+def _residual_path(cfg, wid, method) -> str:
+    return _path(cfg, "residuals", f"{wid}__{method}.{dataio.FORMATS['binary']}")
 
 
 def _require(path, stage) -> None:
@@ -284,8 +289,9 @@ def _read_list(path, stage, key, fields) -> dict:
     """Load ``path``, an output of ``stage``: a JSON object whose ``key``
     lists objects that each have ``fields`` (name: type; a number must be
     positive and finite). The first field is an id: unique, and usable in
-    a file name. Every ``label`` is one of LABELS. Raise ConfigError if
-    the file is missing and FormatError if it holds anything else."""
+    a file name. Every ``label`` is one of ``dataio.LABELS``. Raise
+    ConfigError if the file is missing and FormatError if it holds
+    anything else."""
     _require(path, stage)
     try:
         with open(path, encoding="utf-8") as fh:
@@ -300,9 +306,9 @@ def _read_list(path, stage, key, fields) -> dict:
     id_key, seen = next(iter(fields)), set()
     for e in entries:
         eid = e[id_key]
-        if e["label"] not in LABELS:
+        if e["label"] not in dataio.LABELS:
             raise _malformed(path, stage, f"{id_key} {eid!r} has label {e['label']!r}, "
-                                          f"not {' or '.join(LABELS)}")
+                                          f"not {' or '.join(dataio.LABELS)}")
         if eid in seen:
             raise _malformed(path, stage, f"{id_key} {eid!r} occurs twice")
         if _names_no_file(eid):
@@ -322,7 +328,7 @@ def stage_synth(cfg: PipelineConfig) -> list:
     corpus = synth.generate_corpus(**cfg.synth, rng_seed=cfg.seed)
     rec_dir = _path(cfg, "records")
     os.makedirs(rec_dir, exist_ok=True)
-    ext = "csv" if cfg.record_format == "csv" else "fwk"
+    ext = dataio.FORMATS[cfg.record_format]
     manifest = []
     # no enumerate: its reused result tuple would hold the last record
     # while the next one is generated
@@ -335,14 +341,8 @@ def stage_synth(cfg: PipelineConfig) -> list:
         dataio.write_recording(rec, rec_path, fmt=cfg.record_format)
         truth_path = os.path.join(rec_dir, f"{rid}.truth.json")
         with open(truth_path, "w") as fh:
-            json.dump(
-                {
-                    "label": label,
-                    "daf_true": truth.daf_true,
-                    "r_peaks_true": truth.r_peaks_true.tolist(),
-                },
-                fh,
-            )
+            json.dump({"label": label, "daf_true": truth.daf_true,
+                       "r_peaks_true": truth.r_peaks_true.tolist()}, fh)
         manifest.append(
             {"id": rid, "label": label, "path": f"{rid}.{ext}", "truth": f"{rid}.truth.json"}
         )
@@ -359,24 +359,16 @@ def _recording_windows(cfg: PipelineConfig, i: int, item: dict):
     spans, and its event-level exclusions. The recording is loaded for
     its record id and length and dropped on return."""
     for key in ("recording", "annotation"):
-        path = item.get(key)
-        if not isinstance(path, str) or not os.path.isfile(path):
-            raise ConfigError(f"missing {path}: named by config key recordings[{i}].{key}")
+        if not os.path.isfile(item[key]):
+            raise ConfigError(f"missing {item[key]}: named by config key recordings[{i}].{key}")
     rec = dataio.load_recording(item["recording"])
     if _names_no_file(rec.record_id):
         raise FormatError(f"{item['recording']}: record_id {rec.record_id!r} "
                           "cannot name a file")
     ann = dataio.load_annotations(item["annotation"])
     af, short = dataio.extract_af_windows(rec, ann, cfg.min_event_s, cfg.window_s)
-    events = [
-        {
-            "record_id": rec.record_id,
-            "onset": int(onset),
-            "offset": int(offset),
-            "reason": "af_event_shorter_than_window",
-        }
-        for onset, offset in short
-    ]
+    events = [{"record_id": rec.record_id, "onset": int(onset), "offset": int(offset),
+               "reason": "af_event_shorter_than_window"} for onset, offset in short]
     # seeded by record id: equal layouts draw different non-AF slots,
     # and the draws do not depend on the order of recordings
     seed = np.random.SeedSequence([cfg.seed, zlib.crc32(rec.record_id.encode())])
@@ -384,13 +376,8 @@ def _recording_windows(cfg: PipelineConfig, i: int, item: dict):
         rec, ann, count=len(af), rng_seed=seed, window_s=cfg.window_s
     )
     if shortfall:
-        events.append(
-            {
-                "record_id": rec.record_id,
-                "reason": "insufficient_nonaf_duration",
-                "missing_windows": shortfall,
-            }
-        )
+        events.append({"record_id": rec.record_id, "reason": "insufficient_nonaf_duration",
+                       "missing_windows": shortfall})
     windows = [(f"{rec.record_id}_w{start:09d}", start, end, label)
                for spans, label in ((af, "AF"), (nonaf, "non-AF")) for start, end in spans]
     return windows, events
@@ -473,7 +460,7 @@ def _process_window(args):
         return {"window_id": wid, "excluded": f"{type(exc).__name__}: {exc}"}
     for method, residual in residuals.items():
         rec = dataio.EcgRecording(samples=residual, fs=fs, lead_name=method, record_id=wid)
-        dataio.write_recording(rec, _path(cfg, "residuals", f"{wid}__{method}.fwk"), fmt="binary")
+        dataio.write_recording(rec, _residual_path(cfg, wid, method), fmt="binary")
     if cfg.dump_beats:
         with open(_path(cfg, "beats", f"{wid}.json"), "w") as fh:
             json.dump({"fs": fs, "r_peaks": bm.r_peaks.tolist(),
@@ -526,7 +513,7 @@ def stage_daf(cfg: PipelineConfig) -> FeatureTable:
     for win in windows:
         wid, fs = win["window_id"], win["fs"]
         for method in methods:
-            res_path = _path(cfg, "residuals", f"{wid}__{method}.fwk")
+            res_path = _residual_path(cfg, wid, method)
             _require(res_path, "extract")
             rec = dataio.load_recording(res_path)
             ps = spectral.welch_psd(rec.samples, fs, seg_s=cfg.welch_seg_s,
@@ -624,7 +611,7 @@ def stage_eval(cfg: PipelineConfig, table: FeatureTable | None = None) -> dict:
         return evaluate_model(train_rf(t, method, draws(n_train), max_depth=cfg.rf_max_depth), t)
 
     metrics = {method: forest_metrics(table, method) for method in methods}
-    ranking = rank_methods(metrics) if len(metrics) >= 2 else list(metrics)
+    ranking = rank_methods(metrics)
     voting_set = tuple(cfg.voting_set) if cfg.voting_set else tuple(ranking[:3])
     if prevoted:
         # table already carries vote rows (e.g. a hand-supplied features
@@ -641,9 +628,7 @@ def stage_eval(cfg: PipelineConfig, table: FeatureTable | None = None) -> dict:
                      "seed": cfg.seed} for name, m in metrics.items()}
     report["ranking"] = ranking
     report["voting_set"] = list(voting_set)
-    report["daf_summary"] = {
-        m: _daf_summary(vote_table, m) for m in methods + ["vote"]
-    }
+    report["daf_summary"] = {m: _daf_summary(vote_table, m) for m in methods + ["vote"]}
     with open(_path(cfg, "metrics.json"), "w") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -652,26 +637,23 @@ def stage_eval(cfg: PipelineConfig, table: FeatureTable | None = None) -> dict:
 
 
 def _write_text_report(cfg, report, methods) -> None:
-    lines = []
-    lines.append("DAF per method on AF windows, median (Q1-Q3) Hz")
-    for m in methods + ["vote"]:
+    names = methods + ["vote"]
+    lines = ["DAF per method on AF windows, median (Q1-Q3) Hz"]
+    for m in names:
         s = report["daf_summary"][m]
-        if s["median"] is None:
-            lines.append(f"  {m:<8} n/a")
-        else:
-            lines.append(f"  {m:<8} {s['median']:.2f} ({s['q1']:.2f}-{s['q3']:.2f})")
-    lines.append("")
-    lines.append("AF/non-AF classification on the test split")
-    lines.append(f"  {'Method':<10} {'F1':>6} {'AUROC':>7}")
-    for m in methods + ["vote"]:
-        lines.append(f"  {m:<10} {report[m]['f1']:>6.2f} {report[m]['auroc']:>7.2f}")
-    lines.append(f"  voting set: {', '.join(report['voting_set'])}")
-    lines.append("")
-    lines.append("Reference values from the original clinical Holter study")
-    lines.append("(private dataset -- NOT reproducible with this synthetic corpus):")
-    lines.append(f"  {'Method':<10} {'F1':>6} {'AUROC':>7}")
-    for m, r in REFERENCE_RESULTS.items():
-        lines.append(f"  {m:<10} {r['f1']:>6.2f} {r['auroc']:>7.2f}")
+        lines.append(f"  {m:<8} n/a" if s["median"] is None
+                     else f"  {m:<8} {s['median']:.2f} ({s['q1']:.2f}-{s['q3']:.2f})")
+
+    def table(scores):  # one F1/AUROC table layout, for this run and for the study
+        return [f"  {'Method':<10} {'F1':>6} {'AUROC':>7}",
+                *(f"  {m:<10} {r['f1']:>6.2f} {r['auroc']:>7.2f}" for m, r in scores)]
+
+    lines += ["", "AF/non-AF classification on the test split",
+              *table((m, report[m]) for m in names),
+              f"  voting set: {', '.join(report['voting_set'])}", "",
+              "Reference values from the original clinical Holter study",
+              "(private dataset -- NOT reproducible with this synthetic corpus):",
+              *table(REFERENCE_RESULTS.items())]
     with open(_path(cfg, "report.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -22,6 +22,8 @@ import numpy as np
 from .beats import detect_r_peaks_energy, detect_r_peaks_matched, matched_mask
 from .errors import ConfigError, SignalTooShortError
 
+MIN_SEGMENT_S = 5.0  # the shortest bSQI segment
+
 
 @dataclass
 class FilterSpec:
@@ -287,8 +289,8 @@ def compute_bsqi(
     A segment with no detections at all scores 0. The energy detections
     are returned as ``r_peaks``.
     """
-    if segment_s < 5:
-        raise ConfigError("bSQI segment length must be at least 5 s")
+    if segment_s < MIN_SEGMENT_S:
+        raise ConfigError(f"bSQI segment length must be at least {MIN_SEGMENT_S:g} s")
     x = np.asarray(x, dtype=np.float64)
     det_a = detect_r_peaks_energy(x, fs)
     det_b = detect_r_peaks_matched(x, fs, det_a)

@@ -7,12 +7,14 @@ can measure extractor output against the true f-wave and true R-peak
 schedule.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError
 from .preprocess import butter1, lfilter
+from .spectral import DAF_BAND
 
 # Gaussian bump morphology: (amplitude mV, center offset s from R, width s)
 _P_BUMP = (0.15, -0.20, 0.025)
@@ -28,7 +30,6 @@ _QRST_BUMPS = (
 )
 
 R_AMPLITUDE_MV = 1.4
-F0_BAND_HZ = (4.0, 12.0)  # the f-wave fundamentals the generator accepts
 
 
 def check_record(fs, duration_s) -> None:
@@ -40,9 +41,17 @@ def check_record(fs, duration_s) -> None:
         raise ConfigError(f"synth.duration_s must be at least 10 s, got {duration_s}")
 
 
-def check_corpus(n_af, n_sinus, fs, duration_s) -> None:
+def check_corpus(n_af, n_sinus, f0_range, fs, duration_s) -> None:
     """Raise ConfigError, naming the synth config key, unless
-    ``generate_corpus`` can build a corpus of these sizes."""
+    ``generate_corpus`` can build a corpus of these sizes whose f-wave
+    fundamentals, drawn from ``f0_range``, lie in the DAF band."""
+    lo, hi = DAF_BAND
+    f0 = tuple(f0_range) if isinstance(f0_range, (tuple, list, np.ndarray)) else ()
+    numeric = [isinstance(f, numbers.Real) and not isinstance(f, bool) for f in f0]
+    # the band's bounds also refuse NaN and the infinities
+    if not (numeric == [True, True] and lo <= f0[0] <= f0[1] <= hi):
+        raise ConfigError("config key synth.f0_range must be two finite numbers "
+                          f"[low, high] within [{lo:g}, {hi:g}] Hz")
     for key, n in (("n_af", n_af), ("n_sinus", n_sinus)):
         if n < 0:
             raise ConfigError(f"synth.{key} must be >= 0, got {n}")
@@ -58,7 +67,7 @@ class SynthConfig:
     rhythm: str = "AF"  # "AF" or "sinus"
     mean_hr_bpm: float = 75.0
     rr_jitter: float | None = None  # default 0.25 for AF, 0.03 for sinus
-    fwave_f0: float | None = None  # required for AF, in F0_BAND_HZ
+    fwave_f0: float | None = None  # required for AF, in spectral.DAF_BAND
     fwave_amp_mv: float = 0.1
     fwave_harmonics: int = 3
     noise_rms_mv: float = 0.02
@@ -78,7 +87,7 @@ class SynthConfig:
         if self.rhythm == "AF":
             if self.fwave_f0 is None:
                 raise ConfigError("AF rhythm requires fwave_f0")
-            lo, hi = F0_BAND_HZ
+            lo, hi = DAF_BAND
             if not lo <= self.fwave_f0 <= hi:
                 raise ConfigError(f"fwave_f0 must lie in [{lo:g}, {hi:g}] Hz")
         elif self.fwave_f0 is not None:
@@ -232,7 +241,7 @@ def generate_corpus(
     one at a time. Per-record seeds are derived from rng_seed, so the
     corpus is reproducible and records are independent.
     """
-    check_corpus(n_af, n_sinus, fs, duration_s)
+    check_corpus(n_af, n_sinus, f0_range, fs, duration_s)
     seq = np.random.SeedSequence(rng_seed)
     children = seq.spawn(n_af + n_sinus)
     master = np.random.default_rng(seq.spawn(1)[0])

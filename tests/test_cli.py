@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import fwave.pipeline
 from fwave.cli import _build_parser, main
 from fwave.dataio import EcgRecording, load_recording, write_recording
-from fwave.errors import ConfigError
+from fwave.errors import ConfigError, FormatError
 from fwave.pipeline import PipelineConfig, _record_jobs
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -240,6 +240,23 @@ class TestSettingsFlags:
             main([command, "--help"])
         assert exc.value.code == 0
         assert re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.M) == flags
+
+    def test_record_formats_agree(self, tmp_path, capsys):
+        # the --format choices are the record formats the config accepts and
+        # the writer writes (TestSynthCommand checks each one's extension)
+        with pytest.raises(SystemExit):
+            main(["synth", "--help"])
+        choices = re.search(r"--format \{([\w,]+)\}", capsys.readouterr().out).group(1)
+        assert choices.split(",") == ["csv", "binary"]
+        rec = EcgRecording(samples=np.arange(10) / 7, fs=200.0, record_id="r")
+        for fmt in choices.split(","):
+            PipelineConfig(record_format=fmt)
+            write_recording(rec, tmp_path / fmt, fmt=fmt)
+            assert load_recording(tmp_path / fmt).record_id == "r"
+        with pytest.raises(ConfigError, match="record format 'fwk'"):
+            PipelineConfig(record_format="fwk")
+        with pytest.raises(FormatError, match="recording format 'fwk'"):
+            write_recording(rec, tmp_path / "r.fwk", fmt="fwk")
 
 
 class TestStageOrder:
@@ -566,6 +583,11 @@ BAD_VALUES = [
     ("filter", {"notch_freq": -60}, "filter.notch_freq"),
     ("filter", {"notch_q": 0}, "filter.notch_q"),
     ("filter", {"notch_q": -1}, "filter.notch_q"),
+    ("recordings", [5], "recordings[0]"),
+    ("recordings", [{"recording": "r.fwk"}], "recordings[0].annotation"),
+    ("recordings", [{"recording": "r.fwk", "annotation": 7}], "recordings[0].annotation"),
+    ("recordings", [{"recording": "r.fwk", "annotation": "r.json", "note": ""}], "recordings[0]"),
+    ("recordings", [{"recording": "r.fwk", "annotation": "r.json"}, "r2.fwk"], "recordings[1]"),
 ]
 
 

@@ -1,5 +1,6 @@
 import gc
 import json
+import re
 import struct
 import warnings
 
@@ -241,8 +242,7 @@ class TestBinaryFormat:
         assert len(load_recording(pc).samples) == 100
 
     @pytest.mark.parametrize("fmt", ["binary", "csv"])
-    @pytest.mark.parametrize("given_fmt", [False, True])
-    def test_one_open_per_load(self, tmp_path, monkeypatch, fmt, given_fmt):
+    def test_one_open_per_load(self, tmp_path, monkeypatch, fmt):
         rec = EcgRecording(samples=np.arange(100) / 7, fs=200.0, record_id="r9")
         p = tmp_path / "r.dat"
         write_recording(rec, p, fmt=fmt)
@@ -250,7 +250,7 @@ class TestBinaryFormat:
         monkeypatch.setattr(fwave.dataio, "open",
                             lambda *args, **kw: opens.append(args) or open(*args, **kw),
                             raising=False)
-        back = load_recording(p, fmt=fmt if given_fmt else None)
+        back = load_recording(p)
         assert opens == [(str(p), "rb")]
         assert back.record_id == "r9" and len(back.samples) == 100
 
@@ -264,10 +264,12 @@ class TestBinaryFormat:
             load_recording(p)
 
     def test_bad_magic(self, tmp_path):
+        # the magic, not the extension, makes a file binary: without it a
+        # .fwk file is read as CSV, whose first line is not a number
         p = tmp_path / "r.fwk"
         p.write_bytes(b"NOPE" + b"\0" * 100)
-        with pytest.raises(FormatError, match="bad magic"):
-            load_recording(p, fmt="binary")
+        with pytest.raises(FormatError, match=re.escape(f"{p}:1: not a number")):
+            load_recording(p)
 
     def test_long_recording(self, tmp_path):
         # Holter-scale file: an hour at 200 Hz loads with correct duration

@@ -177,6 +177,15 @@ class TestCorpus:
         for truth, _ in corpus:
             assert 6.0 <= truth.daf_true <= 8.0
 
+    @pytest.mark.parametrize("f0_range", [
+        (5.0,),  # one bound
+        (2.0, 6.0),  # some draws of seed 1 would fall below the 4 Hz band edge
+        (4.0, 10**400),  # an integer too large for a float
+    ])
+    def test_bad_f0_range_refused_at_the_call(self, f0_range):
+        with pytest.raises(ConfigError, match=r"synth\.f0_range"):
+            generate_corpus(1, 0, f0_range=f0_range, rng_seed=1)
+
     def test_deterministic_and_records_independent(self):
         a = list(generate_corpus(2, 2, rng_seed=7))
         b = list(generate_corpus(2, 2, rng_seed=7))
